@@ -37,18 +37,8 @@ from .compiler import (
 from .engine import DEFAULT_MICRO_BATCH, InferenceEngine, default_num_threads
 from .ir import Graph, GraphInvariantError, Node, RewriteRule, Value
 from .kernels import BufferCache
-from .optimizer import (
-    MemoryPlan,
-    eliminate_common_subexpressions,
-    eliminate_dead_steps,
-    fold_identities,
-    fuse_quantize_chains,
-    optimize_plan,
-    plan_memory,
-    superfuse_residual_adds,
-)
+from .optimizer import MemoryPlan, optimize_plan, plan_memory, run_rules
 from .plan import InferencePlan, Step
-from .plan_cache import PlanCache, default_plan_cache
 from .predictor import BatchedPredictor
 
 __all__ = [
@@ -68,19 +58,13 @@ __all__ = [
     "BufferCache",
     "MemoryPlan",
     "optimize_plan",
-    "eliminate_dead_steps",
-    "fuse_quantize_chains",
-    "fold_identities",
-    "eliminate_common_subexpressions",
-    "superfuse_residual_adds",
+    "run_rules",
     "plan_memory",
     "Graph",
     "Value",
     "Node",
     "RewriteRule",
     "GraphInvariantError",
-    "PlanCache",
-    "default_plan_cache",
     "BatchedPredictor",
     "ParityReport",
     "compare_with_eager",

@@ -18,6 +18,11 @@ the architectures used by the reproduction are static) and emits one
 Known model classes (:class:`MobileNetV2Backbone`, :class:`ResNet12Backbone`,
 :class:`ResNet20Backbone` and the composite blocks they are built from) get
 dedicated lowering rules; everything else falls back to generic traversal.
+
+The compiler emits the faithful, unoptimized plan.  Optimization happens in
+one place: :class:`~repro.runtime.engine.InferenceEngine` runs
+:func:`~repro.runtime.optimizer.optimize_plan` over the plan it is given
+(unless constructed with ``optimize=False``).
 """
 
 from __future__ import annotations
@@ -129,46 +134,31 @@ class PlanBuilder:
                              output_register=output_register, name=self.name)
 
 
-def compile_module(module: Module, name: str = "", mode: str = "float32",
-                   optimize: bool = False) -> InferencePlan:
+def compile_module(module: Module, name: str = "",
+                   mode: str = "float32") -> InferencePlan:
     """Compile any supported module into a flat inference plan.
 
     ``mode="float32"`` is the classic lowering (hooked subtrees fall back to
     opaque eager steps).  ``mode="int8"`` lowers conv/linear layers of a
     quantized model to integer kernels, turning activation fake-quant hooks
     into first-class ``quantize``/``requantize`` plan ops (see
-    :func:`_lower_int8`).  ``optimize=True`` additionally runs the
-    post-compile passes of :mod:`repro.runtime.optimizer` (the
-    :class:`~repro.runtime.engine.InferenceEngine` applies them by default
-    anyway; pass-by-pass tooling compiles raw plans).
+    :func:`_lower_int8`).
     """
     if mode not in MODES:
         raise ValueError(f"unknown compile mode {mode!r}; expected one of {MODES}")
+    name = name or module.__class__.__name__
     if mode == "int8":
-        plan = _compile_int8(module, name or module.__class__.__name__)
-    else:
-        builder = PlanBuilder(name or module.__class__.__name__)
-        out = _lower(builder, module, name or module.__class__.__name__, "x")
-        plan = builder.build("x", out)
-    return _maybe_optimize(plan, optimize)
+        return _compile_int8(module, name)
+    builder = PlanBuilder(name)
+    return builder.build("x", _lower(builder, module, name, "x"))
 
 
-def _maybe_optimize(plan: InferencePlan, optimize: bool) -> InferencePlan:
-    if not optimize:
-        return plan
-    from .optimizer import optimize_plan
-    return optimize_plan(plan)
-
-
-def compile_backbone(backbone: Module, mode: str = "float32",
-                     optimize: bool = False) -> InferencePlan:
+def compile_backbone(backbone: Module, mode: str = "float32") -> InferencePlan:
     """Compile a feature-extractor backbone (images -> ``theta_a``)."""
-    return compile_module(backbone, backbone.__class__.__name__, mode=mode,
-                          optimize=optimize)
+    return compile_module(backbone, backbone.__class__.__name__, mode=mode)
 
 
-def compile_ofscil(model, mode: str = "float32",
-                   optimize: bool = False) -> InferencePlan:
+def compile_ofscil(model, mode: str = "float32") -> InferencePlan:
     """Compile the full deploy-time feature path of an O-FSCIL model.
 
     The plan maps images to the prototypical feature ``theta_p`` (backbone
@@ -181,11 +171,11 @@ def compile_ofscil(model, mode: str = "float32",
         features = _lower_int8(builder, model.backbone, "backbone", x)
         out = _lower_int8(builder, model.fcr, "fcr", features)
         out = _ensure_float(builder, out, "dequant_out")
-        return _maybe_optimize(builder.build("x", out), optimize)
+        return builder.build("x", out)
     builder = PlanBuilder(f"OFSCIL[{model.config.backbone}]")
     features = _lower(builder, model.backbone, "backbone", "x")
     out = _lower(builder, model.fcr, "fcr", features)
-    return _maybe_optimize(builder.build("x", out), optimize)
+    return builder.build("x", out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Micro-batched executor for compiled (and optimized) inference plans."""
+"""Micro-batched executor for compiled inference plans.
+
+:class:`InferenceEngine` is the one place a compiled plan is optimized: it
+runs :func:`~repro.runtime.optimizer.optimize_plan` on the plan it is given
+unless constructed with ``optimize=False``.  Already-optimized plans, such
+as snapshot restores, pass through unchanged.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..nn.modules import Module
 from ..obs.trace import ambient_span
-from .compiler import compile_module
 from .kernels import BufferCache
 from .optimizer import MemoryPlan, optimize_plan, plan_memory
 from .plan import InferencePlan
@@ -57,6 +61,12 @@ class InferenceEngine:
     because chunks are independent and each thread owns its scratch space.
     Intra-process threading composes with :mod:`repro.serve` process
     sharding: workers receive single micro-batches and stay serial.
+
+    ``cache_budget`` bounds the scratch bytes of the whole engine, not of
+    each cache: it is split evenly between the calling thread's cache and
+    one cache per pool thread (arena slot buffers are exempt, see
+    :class:`BufferCache`).  A further thread calling :meth:`run` adds a
+    cache with the same share.
     """
 
     def __init__(self, plan: InferencePlan,
@@ -77,7 +87,7 @@ class InferenceEngine:
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
         self.cache_budget = cache_budget
-        self.cache = BufferCache(max_bytes=cache_budget)
+        self.cache = self._new_cache()
         # A supplied memory plan maps registers of the plan it was recorded
         # against.  If optimization rewrote the plan above (renaming fused
         # registers), or planned execution is off entirely, the spec no
@@ -141,11 +151,12 @@ class InferenceEngine:
             fn=lambda: getattr(self.plan, "pass_stats", {}).get(
                 "common_subexpression_elimination", 0))
 
-    @classmethod
-    def for_module(cls, module: Module,
-                   micro_batch: int = DEFAULT_MICRO_BATCH) -> "InferenceEngine":
-        """Compile ``module`` and wrap the plan in an engine."""
-        return cls(compile_module(module), micro_batch=micro_batch)
+    def _new_cache(self) -> BufferCache:
+        """A buffer cache holding one execution context's budget share."""
+        share = self.cache_budget
+        if share is not None and self.num_threads > 1:
+            share //= self.num_threads + 1
+        return BufferCache(max_bytes=share)
 
     # ------------------------------------------------------------------
     # Thread pools, locks and thread-local caches are runtime-only state:
@@ -162,7 +173,7 @@ class InferenceEngine:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.cache = BufferCache(max_bytes=self.cache_budget)
+        self.cache = self._new_cache()
         self._pool = None
         self._tls = threading.local()
         self._tls.cache = self.cache
@@ -232,7 +243,7 @@ class InferenceEngine:
     def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
         cache = getattr(self._tls, "cache", None)
         if cache is None:
-            cache = BufferCache(max_bytes=self.cache_budget)
+            cache = self._new_cache()
             self._tls.cache = cache
             with self._caches_lock:
                 self._caches.append(cache)

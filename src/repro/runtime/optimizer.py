@@ -8,23 +8,18 @@ rules of :mod:`repro.runtime.rewrites`, and lowered back to a flat plan with
 its register names intact (so arena plans, snapshots and golden fixtures
 keyed by register names stay valid).
 
-* :func:`eliminate_dead_steps` — drop steps whose output no later step (and
-  not the plan output) reads.  Pure ops only: ``opaque`` steps may carry
-  side effects (forward hooks) and are always kept.
-* :func:`fuse_quantize_chains` — the four quantize-chain fusions
-  (``dequantize -> add``, ``add -> quantize``, ``dequantize -> quantize``,
-  same-scale ``requantize -> quantize``), each replaying the unfused
-  arithmetic bit for bit.
-* :func:`fold_identities` — bit-exact folding of statically-determined
-  chains: ``act=None`` copies, same-scale ``quantize∘dequantize``
-  round-trips of typed int8 codes, and standalone activations absorbed into
-  their producer's empty ``act`` slot.
-* :func:`eliminate_common_subexpressions` — merge pure nodes computing the
-  identical value across residual branches.
-* :func:`superfuse_residual_adds` — the int8 residual superfusion
-  ``qconv_dequant -> add [-> requantize]`` into one ``qconv_add`` step.
-* :func:`optimize_plan` — the full pipeline; the resulting plan carries the
-  per-rule application counts in ``plan.pass_stats``.
+* :func:`optimize_plan` — the full pipeline
+  (:data:`~repro.runtime.rewrites.PIPELINE`): dead-node elimination
+  (``opaque`` steps may carry hook side effects and are always kept), the
+  bit-exact identity folds (``FOLD_RULES``), the quantize-chain fusions
+  (``FUSION_RULES``), common-subexpression elimination, and the int8
+  residual superfusion ``qconv_dequant -> add [-> requantize]`` into one
+  ``qconv_add`` step.  The optimized plan carries the per-rule application
+  counts in ``plan.pass_stats``.
+  :class:`~repro.runtime.engine.InferenceEngine` is its one caller in the
+  runtime.
+* :func:`run_rules` — any sequence of those rules, in the given order (the
+  conformance tests run each rule group in isolation).
 * :func:`plan_memory` — a liveness-based arena planner: every step output is
   assigned to one of a small set of reusable slots such that no two
   simultaneously-live registers ever share one.  The executor
@@ -50,14 +45,7 @@ import numpy as np
 
 from .ir import Graph
 from .plan import InferencePlan
-from .rewrites import (
-    FOLD_RULES,
-    FUSION_RULES,
-    CommonSubexpressionElimination,
-    DeadNodeElimination,
-    QConvAddSuperfusion,
-    run_pipeline,
-)
+from .rewrites import run_pipeline
 
 #: Ops whose output is a reshaped view of their input: the planner aliases
 #: the output onto the input's storage instead of assigning a slot.
@@ -67,68 +55,18 @@ ALIAS_OPS = ("flatten",)
 # ---------------------------------------------------------------------------
 # Optimization passes (flat-plan façade over the graph rules)
 # ---------------------------------------------------------------------------
-def _run_rules(plan: InferencePlan, rule_classes) -> InferencePlan:
-    """Run graph rules over ``plan``; return ``plan`` itself when nothing
-    applied (callers and tests rely on the no-op identity)."""
+def run_rules(plan: InferencePlan,
+              rules: Tuple[type, ...]) -> InferencePlan:
+    """Run the graph rewrite ``rules`` over ``plan`` in order.
+
+    Returns ``plan`` itself when no rule applied, so callers can test for a
+    no-op with ``is``.  ``rules`` is a sequence of rule classes, e.g.
+    ``FUSION_RULES`` or ``(DeadNodeElimination,)``.
+    """
     graph = Graph.from_plan(plan)
-    applied = sum(rule_cls().run(graph) for rule_cls in rule_classes)
-    if not applied:
+    if not sum(run_pipeline(graph, rules=rules).values()):
         return plan
     return graph.to_plan()
-
-
-def eliminate_dead_steps(plan: InferencePlan) -> InferencePlan:
-    """Drop steps whose output register nothing reads.
-
-    ``opaque`` steps are kept unconditionally — they call live modules whose
-    forward hooks may observe or mutate state, so eliminating them could
-    change semantics even when their output is unused.
-    """
-    return _run_rules(plan, (DeadNodeElimination,))
-
-
-def fuse_quantize_chains(plan: InferencePlan) -> InferencePlan:
-    """Fuse quantize/dequantize/requantize chains into their neighbours.
-
-    Rewrites (all restricted to single-use intermediates, and all replaying
-    the unfused arithmetic bit for bit):
-
-    * ``dequantize -> add``: the add dequantizes the int8 operand on the fly
-      (``in_scale_0`` / ``in_scale_1`` attrs);
-    * ``add -> quantize``: the add requantizes its activated sum straight to
-      int8 codes (``out_scale`` attr);
-    * ``dequantize -> quantize``: a single ``qrequantize`` step rescales the
-      codes through a scratch buffer instead of a full float register;
-    * ``requantize -> quantize`` at the same scale: the requantize is
-      dropped (``round(round(x/s)*s/s) == round(x/s)`` exactly for int8
-      code magnitudes).
-    """
-    return _run_rules(plan, FUSION_RULES)
-
-
-def fold_identities(plan: InferencePlan) -> InferencePlan:
-    """Fold statically-determined identity chains (bit-exact subset only).
-
-    ``act=None`` copy steps forward their input; same-scale
-    ``quantize(dequantize(q))`` round-trips of *typed* int8 codes forward
-    the original codes; standalone activations fold into their producer's
-    empty ``act`` slot.  Rewrites that would be algebraically tempting but
-    not bit-exact in float32 (conv+BN re-folding, requantize chains at
-    different scales) are deliberately not performed.
-    """
-    return _run_rules(plan, FOLD_RULES)
-
-
-def eliminate_common_subexpressions(plan: InferencePlan) -> InferencePlan:
-    """Merge pure steps computing the identical value (see
-    :class:`~repro.runtime.rewrites.CommonSubexpressionElimination`)."""
-    return _run_rules(plan, (CommonSubexpressionElimination,))
-
-
-def superfuse_residual_adds(plan: InferencePlan) -> InferencePlan:
-    """Fuse ``qconv_dequant -> add`` residual joins into ``qconv_add`` steps
-    (see :class:`~repro.runtime.rewrites.QConvAddSuperfusion`)."""
-    return _run_rules(plan, (QConvAddSuperfusion,))
 
 
 def optimize_plan(plan: InferencePlan) -> InferencePlan:

@@ -6,8 +6,8 @@ epilogues, more arena slots, a bigger peak — are visible in the job log of
 every push, not only when a perf floor finally trips.  The report includes
 the graph rewrite pipeline's per-rule application counts
 (``pass.<rule_name>`` lines, from the optimized plan's ``pass_stats``) and
-the process plan-cache counters: the probe compiles the same model through
-two predictors, so a healthy cache reports at least one hit.
+``compile_cold_ms``, the wall time of compiling and optimizing the backbone
+and FCR of a fresh predictor — the guard against cold-compile regressions.
 
 ``python -m repro.runtime.plan_stats <backbone> int8`` reports the integer
 plan instead: the model is put through the deterministic PTQ recipe (seeded
@@ -64,30 +64,18 @@ def _build_model(backbone: str, mode: str):
 
 def plan_stats(backbone: str = DEFAULT_BACKBONE,
                mode: str = "float32", profile: bool = False) -> dict:
-    """Compile the backbone, serve one batch, and report plan/arena stats.
-
-    Builds the engines twice through one :class:`~repro.runtime.plan_cache.
-    PlanCache` — the second predictor must hit — and reports both compile
-    wall times next to the cache counters.
-    """
+    """Compile the backbone, serve one batch, and report plan/arena stats."""
     from ..models import get_config
-    from .plan_cache import PlanCache
     from .predictor import BatchedPredictor
 
     model = _build_model(backbone, mode)
-    cache = PlanCache()
     run_mode = getattr(model.config, "runtime_mode", mode)
     started = time.perf_counter()
     predictor = BatchedPredictor(model,
                                  micro_batch=model.config.feature_batch_size,
-                                 mode=run_mode, profile=profile,
-                                 plan_cache=cache)
+                                 mode=run_mode, profile=profile)
     predictor.backbone_engine, predictor.fcr_engine
     compile_cold_ms = (time.perf_counter() - started) * 1e3
-    started = time.perf_counter()
-    recompiled = BatchedPredictor(model, mode=run_mode, plan_cache=cache)
-    recompiled.backbone_engine, recompiled.fcr_engine
-    compile_cached_ms = (time.perf_counter() - started) * 1e3
     size = get_config(backbone).input_size
     # One real batch materialises the recorded-shape memory plan.
     predictor.embed(np.zeros((WARMUP_SAMPLES, 3, size, size),
@@ -110,12 +98,9 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
         "micro_batch": engine.micro_batch,
         "num_threads": engine.num_threads,
         "compile_cold_ms": round(compile_cold_ms, 2),
-        "compile_cached_ms": round(compile_cached_ms, 2),
     }
     for rule, count in sorted(plan.pass_stats.items()):
         stats[f"pass.{rule}"] = count
-    for key, value in cache.stats().items():
-        stats[f"plan_cache.{key}"] = value
     stats["profiler"] = predictor.profiler
     stats["_engine"] = engine
     return stats

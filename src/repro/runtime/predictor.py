@@ -10,16 +10,15 @@ The prototype cache is invalidated through the memory's ``version`` counter,
 so learning a new class online is immediately visible to the predictor; the
 FCR projection reads its weights from the live module, so in-place
 fine-tuning needs no recompilation either.  Only backbone weights are frozen
-into the plan (they are frozen in the deployment configuration anyway) — use
-:meth:`refresh` after mutating them.
+into the plan (they are frozen in the deployment configuration anyway).
 
-Compiled+optimized plans are fronted by a process-wide
-:class:`~repro.runtime.plan_cache.PlanCache` keyed by
-``(component, arch, mode, input_shape, optimize)``: a second predictor over
-the same (unchanged) model — a respawned worker, a fresh ``plan_stats``
-probe — reuses the cached plan instead of re-running the compiler and the
-graph rewrite pipeline.  The cache revalidates the predictor's staleness
-signature on every lookup, so mutated weights miss and recompile.
+Each engine is compiled once and kept for as long as its staleness
+signature (weight array identities, hook counts, int8 quantizer thresholds)
+is unchanged; a rebound weight or a changed hook recompiles it on the next
+access, and :meth:`refresh` drops both engines after in-place mutation.
+The raw compiled plan goes straight to
+:class:`~repro.runtime.engine.InferenceEngine`, the one place plans are
+optimized.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from .kernels import (
     normalize_prototypes,
     quantize_unit_rows,
 )
-from .optimizer import optimize_plan
-from .plan_cache import PlanCache, default_plan_cache, signatures_differ
 
 
 class BatchedPredictor:
@@ -53,8 +50,7 @@ class BatchedPredictor:
     def __init__(self, model, micro_batch: int = DEFAULT_MICRO_BATCH,
                  mode: str = "float32", num_threads: Optional[int] = None,
                  cache_budget: Optional[int] = None,
-                 registry=None, profile: bool = False,
-                 plan_cache: Optional[PlanCache] = None):
+                 registry=None, profile: bool = False):
         if mode not in MODES:
             raise ValueError(f"unknown runtime mode {mode!r}; "
                              f"expected one of {MODES}")
@@ -63,14 +59,9 @@ class BatchedPredictor:
         self.mode = mode
         self.num_threads = num_threads
         self.cache_budget = cache_budget
-        #: Compiled-plan cache; defaults to the process-wide instance so
-        #: predictors over the same unchanged model share optimized plans.
-        self.plan_cache = plan_cache if plan_cache is not None \
-            else default_plan_cache()
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry` the engines
         #: publish their gauges into (callback-valued, free per request).
         self.registry = registry
-        self.plan_cache.bind_registry(registry)
         #: One profiler shared by backbone and FCR plans (``profile=True``),
         #: so ``plan_stats --profile`` reads both from a single table.
         self.profiler = PlanProfiler(registry=registry) if profile else None
@@ -138,10 +129,9 @@ class BatchedPredictor:
         In float mode the ``linear`` step reads weights from the live module
         (so only hook changes matter for staleness), but the compiled plan is
         thereby *bound to that module object* — its identity joins the
-        signature so the plan cache never serves one model's live-weight plan
-        to another model of the same architecture.  The int8 lowering freezes
-        quantized weights into the plan, so weight identities and quantizer
-        thresholds participate as well.
+        signature so replacing ``model.fcr`` recompiles.  The int8 lowering
+        freezes quantized weights into the plan, so weight identities and
+        quantizer thresholds participate as well.
         """
         fcr = self.model.fcr
         hooks = sum(len(module._forward_hooks) for module in fcr.modules())
@@ -150,41 +140,33 @@ class BatchedPredictor:
         arrays = [parameter.data for parameter in fcr.parameters()]
         return [hooks, arrays, self._quantizer_signature(fcr)]
 
-    #: Plan-staleness comparison, shared with the plan cache's signature
-    #: revalidation so both layers agree on what counts as "changed".
-    _state_differs = staticmethod(signatures_differ)
+    @staticmethod
+    def _state_differs(new: list, old: list) -> bool:
+        """Compare two staleness signatures.
 
-    def _plan_cache_key(self, component: str) -> tuple:
-        """``(component, arch, mode, input_shape, optimize)`` cache key.
-
-        The input shape is the spatial resolution the architecture is
-        defined for (plans are batch-agnostic); for the FCR the feature
-        dimensionality plays that role.
+        List-valued parts hold arrays compared by identity (every weight
+        mutation in the codebase rebinds ``param.data``); scalar parts
+        compare by equality.
         """
-        arch = getattr(self.model.config, "backbone",
-                       type(self.model.backbone).__name__)
-        if component == "fcr":
-            shape = (getattr(self.model.fcr, "in_features", None),)
-        else:
-            try:
-                from ..models.registry import get_config
-                size = get_config(arch).input_size
-                shape = (3, size, size)
-            except KeyError:
-                shape = None
-        return (component, arch, self.mode, shape, True)
+        if not old or len(new) != len(old):
+            return True
+        for new_part, old_part in zip(new, old):
+            if isinstance(new_part, list):
+                if not isinstance(old_part, list) or \
+                        len(new_part) != len(old_part) or \
+                        any(a is not b for a, b in zip(new_part, old_part)):
+                    return True
+            elif new_part != old_part:
+                return True
+        return False
 
     @property
     def backbone_engine(self) -> InferenceEngine:
         state = self._current_backbone_state()
         if self._backbone_engine is None or \
                 self._state_differs(state, self._backbone_state):
-            plan = self.plan_cache.get_or_compile(
-                self._plan_cache_key("backbone"), state,
-                lambda: optimize_plan(
-                    compile_backbone(self.model.backbone, mode=self.mode)))
             self._backbone_engine = InferenceEngine(
-                plan,
+                compile_backbone(self.model.backbone, mode=self.mode),
                 micro_batch=self.micro_batch, num_threads=self.num_threads,
                 cache_budget=self.cache_budget, registry=self.registry,
                 metrics_prefix="engine.backbone", profiler=self.profiler)
@@ -196,12 +178,8 @@ class BatchedPredictor:
         state = self._current_fcr_state()
         if self._fcr_engine is None or \
                 self._state_differs(state, self._fcr_state):
-            plan = self.plan_cache.get_or_compile(
-                self._plan_cache_key("fcr"), state,
-                lambda: optimize_plan(
-                    compile_module(self.model.fcr, "fcr", mode=self.mode)))
             self._fcr_engine = InferenceEngine(
-                plan,
+                compile_module(self.model.fcr, "fcr", mode=self.mode),
                 micro_batch=max(self.micro_batch, 512),
                 num_threads=self.num_threads,
                 cache_budget=self.cache_budget, registry=self.registry,

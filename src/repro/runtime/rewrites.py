@@ -428,7 +428,7 @@ class QConvAddSuperfusion(RewriteRule):
 # ---------------------------------------------------------------------------
 # Standard pipeline
 # ---------------------------------------------------------------------------
-#: The quantize-chain fusion group (the classic ``fuse_quantize_chains``).
+#: The quantize-chain fusion group.
 FUSION_RULES = (DequantizeIntoAdd, AddQuantizeFusion,
                 DequantizeQuantizeToRequantize, SameScaleRequantizeCollapse)
 

@@ -1,4 +1,4 @@
-"""SSA graph IR conformance: round-trips, invariants, rewrites, plan cache.
+"""SSA graph IR conformance: round-trips, invariants, rewrites, staleness.
 
 The optimizer's graph substrate (:mod:`repro.runtime.ir` +
 :mod:`repro.runtime.rewrites`) carries the whole bit-exactness contract of
@@ -13,9 +13,9 @@ the runtime, so this file pins its load-bearing properties directly:
   typed quantize∘dequantize identity never fires on untyped registers);
 * the pipeline is idempotent and its pass order cannot move an output bit
   (CSE before vs after the fusion group);
-* the plan cache in front of the compiler hits for identical configurations,
-  revalidates staleness signatures, and snapshots built from cached plans
-  restore bit-for-bit.
+* a predictor keeps its engines while the model is unchanged, rebuilds them
+  on a weight rebind or a quantizer recalibration, and snapshots of its
+  optimized plans restore bit-for-bit.
 """
 
 import dataclasses
@@ -26,22 +26,18 @@ import numpy as np
 import pytest
 
 from repro.core import OFSCIL, OFSCILConfig
-from repro.obs import MetricsRegistry
 from repro.runtime import (
     BatchedPredictor,
     BufferCache,
     Graph,
     GraphInvariantError,
     InferenceEngine,
-    PlanCache,
     compile_backbone,
-    eliminate_common_subexpressions,
-    fold_identities,
     optimize_plan,
+    run_rules,
 )
 from repro.runtime.ir import Value
 from repro.runtime.plan import InferencePlan, Step
-from repro.runtime.plan_cache import signatures_differ
 from repro.runtime.rewrites import (
     FOLD_RULES,
     FUSION_RULES,
@@ -287,7 +283,7 @@ class TestRewriteLegality:
                  Step(op="dequantize", name="out", inputs=("%q2",),
                       output="%out", attrs={"scale": scale})]
         plan = InferencePlan(steps=steps, output_register="%out")
-        folded = fold_identities(plan)
+        folded = run_rules(plan, FOLD_RULES)
         assert folded is not plan
         ops = [step.op for step in folded.steps]
         assert ops.count("quantize") == 1
@@ -307,7 +303,7 @@ class TestRewriteLegality:
                  Step(op="dequantize", name="out", inputs=("%q",),
                       output="%out", attrs={"scale": scale})]
         plan = InferencePlan(steps=steps, output_register="%out")
-        assert fold_identities(plan) is plan
+        assert run_rules(plan, FOLD_RULES) is plan
 
     def test_act_folds_into_producer_and_keeps_the_register(self, rng):
         weight = rng.standard_normal((3, 3, 1, 1)).astype(np.float32)
@@ -321,7 +317,7 @@ class TestRewriteLegality:
                  Step(op="global_pool", name="pool", inputs=("%r",),
                       output="%p")]
         plan = InferencePlan(steps=steps, output_register="%p")
-        folded = fold_identities(plan)
+        folded = run_rules(plan, FOLD_RULES)
         assert [step.op for step in folded.steps] == ["conv", "global_pool"]
         conv = folded.steps[0]
         assert conv.attrs["act"] == "relu"
@@ -340,7 +336,7 @@ class TestRewriteLegality:
                  Step(op="add", name="join", inputs=("%l", "%r"),
                       output="%s", attrs={"act": None})]
         plan = InferencePlan(steps=steps, output_register="%s")
-        merged = eliminate_common_subexpressions(plan)
+        merged = run_rules(plan, (CommonSubexpressionElimination,))
         assert [step.op for step in merged.steps].count("dequantize") == 1
         assert merged.steps[-1].inputs == ("%l", "%l")
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
@@ -357,7 +353,7 @@ class TestRewriteLegality:
                  Step(op="add", name="join", inputs=("%l", "%r"),
                       output="%s", attrs={"act": None})]
         plan = InferencePlan(steps=steps, output_register="%s")
-        assert eliminate_common_subexpressions(plan) is plan
+        assert run_rules(plan, (CommonSubexpressionElimination,)) is plan
 
     def test_superfusion_requires_a_single_use_conv(self, int8_case):
         # Every qconv_add in the optimized plan consumed a conv whose float
@@ -441,70 +437,53 @@ class TestPipelineProperties:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache
+# Predictor engine staleness and snapshot round trip
 # ---------------------------------------------------------------------------
-class TestPlanCache:
-    def test_identical_configurations_hit(self, int8_case):
-        model, golden = int8_case
-        cache = PlanCache()
-        first = BatchedPredictor(model, mode="int8", plan_cache=cache)
-        reference = first.embed(golden["images"])
-        second = BatchedPredictor(model, mode="int8", plan_cache=cache)
-        assert second.backbone_engine.plan is first.backbone_engine.plan
-        assert second.fcr_engine.plan is first.fcr_engine.plan
-        stats = cache.stats()
-        assert stats["hits"] == 2 and stats["misses"] == 2
-        np.testing.assert_array_equal(second.embed(golden["images"]),
-                                      reference)
+def predictor_model(mode: str):
+    if mode == "int8":
+        model, _ = build_quantized_model(BACKBONE)
+        return model
+    return OFSCIL.from_registry(BACKBONE, OFSCILConfig(backbone=BACKBONE),
+                                seed=0)
 
-    def test_weight_rebind_invalidates(self, int8_case):
-        model, _ = int8_case
-        cache = PlanCache()
-        first = BatchedPredictor(model, mode="int8", plan_cache=cache)
-        plan = first.backbone_engine.plan
+
+class TestPredictorEngines:
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_unchanged_model_reuses_the_engines(self, mode):
+        predictor = BatchedPredictor(predictor_model(mode), mode=mode)
+        backbone, fcr = predictor.backbone_engine, predictor.fcr_engine
+        for _ in range(3):
+            assert predictor.backbone_engine is backbone
+            assert predictor.fcr_engine is fcr
+
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_bit_identical_rebind_rebuilds_the_engine(self, mode):
+        model = predictor_model(mode)
+        predictor = BatchedPredictor(model, mode=mode)
+        backbone, fcr = predictor.backbone_engine, predictor.fcr_engine
         parameter = list(model.backbone.parameters())[0]
         # Rebind to a bit-identical copy: the contents cannot change any
         # output, but the identity-based staleness signature must notice.
         parameter.data = parameter.data.copy()
-        second = BatchedPredictor(model, mode="int8", plan_cache=cache)
-        assert second.backbone_engine.plan is not plan
-        assert cache.invalidations >= 1
-        assert len(cache) <= cache.capacity
+        assert predictor.backbone_engine is not backbone
+        assert predictor.fcr_engine is fcr
+        # The int8 FCR plan freezes quantized weights, so a rebind rebuilds
+        # it; the float FCR reads the live module and keeps its engine.
+        linear = model.fcr.linear
+        linear.weight.data = linear.weight.data.copy()
+        assert (predictor.fcr_engine is not fcr) == (mode == "int8")
 
-    def test_lru_eviction_is_bounded(self):
-        cache = PlanCache(capacity=1)
-        cache.get_or_compile(("a",), [1], lambda: "plan-a")
-        cache.get_or_compile(("b",), [1], lambda: "plan-b")
-        assert cache.evictions == 1 and len(cache) == 1
-        # 'a' was evicted: recompiles.
-        assert cache.get_or_compile(("a",), [1], lambda: "plan-a2") == \
-            "plan-a2"
+    def test_quantizer_recalibration_rebuilds_the_int8_engine(self):
+        # The int8 lowering bakes quantizer thresholds into the plan: a new
+        # threshold with the same weights and hooks must read as stale.
+        model = predictor_model("int8")
+        predictor = BatchedPredictor(model, mode="int8")
+        backbone = predictor.backbone_engine
+        quantizer = model.backbone.input_quantizer
+        quantizer.threshold = quantizer.threshold * 2
+        assert predictor.backbone_engine is not backbone
 
-    def test_signature_comparison_semantics(self):
-        array = np.zeros(3)
-        assert not signatures_differ([[array], 2], [[array], 2])
-        assert signatures_differ([[array.copy()], 2], [[array], 2])
-        assert signatures_differ([[array], 3], [[array], 2])
-        assert signatures_differ([[array]], [])
-
-    def test_cache_counters_reach_the_metrics_registry(self, int8_case):
-        model, _ = int8_case
-        cache = PlanCache()
-        registry = MetricsRegistry()
-        predictor = BatchedPredictor(model, mode="int8", registry=registry,
-                                     plan_cache=cache)
-        assert predictor.backbone_engine is not None
-        again = BatchedPredictor(model, mode="int8", registry=registry,
-                                 plan_cache=cache)
-        assert again.backbone_engine is not None
-        scrape = registry.scrape()
-        assert scrape["plan_cache.hits"]["value"] >= 1
-        assert scrape["plan_cache.entries"]["value"] >= 1
-        assert 0.0 < scrape["plan_cache.hit_rate"]["value"] <= 1.0
-        # The engines also publish the rewrite-pipeline statistics.
-        assert scrape["engine.backbone.opt_rule_applications"]["value"] > 0
-
-    def test_snapshot_from_cached_plan_restores_bit_for_bit(self, int8_case):
+    def test_snapshot_round_trip_restores_bit_for_bit(self, int8_case):
         model, golden = int8_case
         predictor = model.runtime_predictor()
         reference = predictor.extract_backbone_features(golden["images"])

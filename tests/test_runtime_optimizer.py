@@ -17,20 +17,25 @@ import pytest
 from repro import nn
 from repro.core import OFSCIL, OFSCILConfig
 from repro.models.mobilenetv2 import ConvBNReLU
+from repro.obs import MetricsRegistry
 from repro.runtime import (
+    BatchedPredictor,
     BufferCache,
     InferenceEngine,
     compile_backbone,
     compile_module,
-    eliminate_common_subexpressions,
-    eliminate_dead_steps,
-    fold_identities,
-    fuse_quantize_chains,
     optimize_plan,
-    superfuse_residual_adds,
+    run_rules,
 )
 from repro.runtime import kernels
 from repro.runtime.plan import InferencePlan, Step
+from repro.runtime.rewrites import (
+    FOLD_RULES,
+    FUSION_RULES,
+    CommonSubexpressionElimination,
+    DeadNodeElimination,
+    QConvAddSuperfusion,
+)
 from repro.serve import snapshot_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -47,6 +52,23 @@ TINY_BACKBONES = ("mobilenetv2_x4_tiny", "mobilenetv2_tiny", "resnet12_tiny",
 #: Families the int8 optimizer conformance parametrizes over (the committed
 #: golden fixtures pin the exact bits per family).
 INT8_BACKBONES = (BACKBONE, RESNET_BACKBONE)
+
+
+#: Each rewrite rule group checked in isolation, plus the full pipeline
+#: (``None``), keyed by test id.
+PASSES = {
+    "dead_node_elimination": (DeadNodeElimination,),
+    "fusion_rules": FUSION_RULES,
+    "fold_rules": FOLD_RULES,
+    "common_subexpression_elimination": (CommonSubexpressionElimination,),
+    "qconv_add_superfusion": (QConvAddSuperfusion,),
+    "optimize_plan": None,
+}
+
+
+def run_pass(name: str, plan: InferencePlan) -> InferencePlan:
+    rules = PASSES[name]
+    return optimize_plan(plan) if rules is None else run_rules(plan, rules)
 
 
 def make_model(backbone: str, seed: int = 0) -> OFSCIL:
@@ -89,35 +111,21 @@ class TestFloatParity:
                                     micro_batch=16).run(images)
         np.testing.assert_array_equal(raw, optimized)
 
-    @pytest.mark.parametrize(
-        "passes", [eliminate_dead_steps, fuse_quantize_chains,
-                   fold_identities, eliminate_common_subexpressions,
-                   superfuse_residual_adds, optimize_plan])
-    def test_each_pass_preserves_float_outputs(self, passes, rng):
+    @pytest.mark.parametrize("pass_name", PASSES)
+    def test_each_pass_preserves_float_outputs(self, pass_name, rng):
         model = make_model("mobilenetv2_x4_tiny")
         plan = compile_backbone(model.backbone)
         images = rng.standard_normal((9, 3, 16, 16)).astype(np.float32)
         raw = InferenceEngine(plan, optimize=False).run(images)
-        transformed = InferenceEngine(passes(plan), optimize=False).run(images)
+        transformed = InferenceEngine(run_pass(pass_name, plan),
+                                      optimize=False).run(images)
         np.testing.assert_array_equal(raw, transformed)
 
     def test_float_plan_has_no_quantize_chains_to_fuse(self):
         model = make_model("mobilenetv2_x4_tiny")
         plan = compile_backbone(model.backbone)
-        assert fuse_quantize_chains(plan) is plan
-        assert eliminate_dead_steps(plan) is plan
-
-    def test_compile_optimize_kwarg(self, quantized, rng):
-        model, _ = quantized
-        raw = compile_backbone(model.backbone, mode="int8")
-        optimized = compile_backbone(model.backbone, mode="int8",
-                                     optimize=True)
-        assert not raw.optimized and optimized.optimized
-        assert len(optimized.steps) < len(raw.steps)
-        images = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
-        np.testing.assert_array_equal(
-            InferenceEngine(raw, optimize=False).run(images),
-            InferenceEngine(optimized, optimize=False).run(images))
+        assert run_rules(plan, FUSION_RULES) is plan
+        assert run_rules(plan, (DeadNodeElimination,)) is plan
 
 
 class TestPassesSynthetic:
@@ -134,7 +142,7 @@ class TestPassesSynthetic:
         live = self._conv_step("live", ("x",), "%live", rng)
         dead = self._conv_step("dead", ("x",), "%dead", rng)
         plan = InferencePlan(steps=[live, dead], output_register="%live")
-        optimized = eliminate_dead_steps(plan)
+        optimized = run_rules(plan, (DeadNodeElimination,))
         assert [step.name for step in optimized.steps] == ["live"]
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
         np.testing.assert_array_equal(plan.execute(x), optimized.execute(x))
@@ -146,7 +154,7 @@ class TestPassesSynthetic:
         dead = Step(op="opaque", name="probe", inputs=("x",), output="%probe",
                     module=probe)
         plan = InferencePlan(steps=[live, dead], output_register="%live")
-        assert len(eliminate_dead_steps(plan).steps) == 2
+        assert len(run_rules(plan, (DeadNodeElimination,)).steps) == 2
 
     def test_dequantize_quantize_chain_fuses_to_qrequantize(self, rng):
         steps = [Step(op="dequantize", name="dq", inputs=("x",), output="%f",
@@ -154,7 +162,7 @@ class TestPassesSynthetic:
                  Step(op="quantize", name="q", inputs=("%f",), output="%q",
                       attrs={"scale": 0.125})]
         plan = InferencePlan(steps=steps, output_register="%q")
-        fused = fuse_quantize_chains(plan)
+        fused = run_rules(plan, FUSION_RULES)
         assert [step.op for step in fused.steps] == ["qrequantize"]
         codes = rng.integers(-127, 128, size=(4, 3, 5, 5)).astype(np.int8)
         np.testing.assert_array_equal(plan.execute(codes),
@@ -166,7 +174,7 @@ class TestPassesSynthetic:
                  Step(op="quantize", name="q", inputs=("%r",), output="%q",
                       attrs={"scale": 0.0625})]
         plan = InferencePlan(steps=steps, output_register="%q")
-        fused = fuse_quantize_chains(plan)
+        fused = run_rules(plan, FUSION_RULES)
         assert [step.op for step in fused.steps] == ["quantize"]
         x = (rng.standard_normal((4, 8)) * 4.0).astype(np.float32)
         np.testing.assert_array_equal(plan.execute(x), fused.execute(x))
@@ -179,7 +187,7 @@ class TestPassesSynthetic:
                  Step(op="add", name="add", inputs=("%f", "%f"), output="%s",
                       attrs={"act": None})]
         plan = InferencePlan(steps=steps, output_register="%f")
-        assert fuse_quantize_chains(plan) is plan
+        assert run_rules(plan, FUSION_RULES) is plan
 
 
 class TestInt8Fusion:
@@ -237,14 +245,18 @@ class TestInt8Fusion:
         assert stats["dequantize_into_add"] >= 3
         assert stats["add_quantize_fusion"] >= 3
         assert sum(stats.values()) > 0
+        # The predictor's backbone engine publishes the same total as a gauge.
+        registry = MetricsRegistry()
+        BatchedPredictor(model, mode="int8", registry=registry).backbone_engine
+        scrape = registry.scrape()
+        assert scrape["engine.backbone.opt_rule_applications"]["value"] == \
+            sum(stats.values())
 
-    @pytest.mark.parametrize(
-        "passes", [eliminate_dead_steps, fuse_quantize_chains,
-                   fold_identities, eliminate_common_subexpressions,
-                   superfuse_residual_adds, optimize_plan])
-    def test_each_pass_reproduces_the_golden_bits(self, passes, int8_case):
+    @pytest.mark.parametrize("pass_name", PASSES)
+    def test_each_pass_reproduces_the_golden_bits(self, pass_name, int8_case):
         model, golden = int8_case
-        plan = passes(compile_backbone(model.backbone, mode="int8"))
+        plan = run_pass(pass_name,
+                        compile_backbone(model.backbone, mode="int8"))
         out = InferenceEngine(plan, optimize=False).run(golden["images"])
         np.testing.assert_array_equal(out, golden["theta_a"])
 
@@ -599,32 +611,48 @@ class TestBufferCacheBudget:
         for cache in engine._caches:
             cache.check_invariants()
 
-    def test_engine_budget_bounds_cache(self, rng):
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_engine_budget_bounds_cache(self, num_threads, rng):
+        # The budget bounds the engine as a whole: the caller's cache plus
+        # one per pool thread.  Each cache may exceed its share by the one
+        # buffer it just handed out, and arena buffers are exempt.
         model = make_model("mobilenetv2_x4_tiny")
         budget = 1 << 20
         engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=16, cache_budget=budget)
+                                 micro_batch=16, num_threads=num_threads,
+                                 cache_budget=budget)
         engine.run(rng.standard_normal((48, 3, 16, 16)).astype(np.float32))
         exempt = sum(buffer.nbytes
-                     for key, buffer in engine.cache._buffers.items()
+                     for cache in engine._caches
+                     for key, buffer in cache._buffers.items()
                      if key[0].startswith(BufferCache.ARENA_PREFIX))
-        slack = max(buffer.nbytes
-                    for buffer in engine.cache._buffers.values())
+        slack = sum(max(buffer.nbytes for buffer in cache._buffers.values())
+                    for cache in engine._caches if cache._buffers)
         assert engine.cache_bytes <= budget + exempt + slack
+        engine.close()
 
-    def test_arena_buffers_are_never_evicted(self, rng):
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_arena_buffers_are_never_evicted(self, num_threads, rng):
         # A budget below the arena working set must not make every step's
         # out_view evict the other slots: the budget governs scratch only,
         # so planned execution stays allocation-free and bit-correct.
         model = make_model("mobilenetv2_x4_tiny")
         plan = compile_backbone(model.backbone)
         images = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
-        tight = InferenceEngine(plan, micro_batch=8, cache_budget=1)
+        tight = InferenceEngine(plan, micro_batch=8, num_threads=num_threads,
+                                cache_budget=1)
         reference = InferenceEngine(plan, micro_batch=8)
         np.testing.assert_array_equal(tight.run(images), reference.run(images))
-        arena_keys = [key for key in tight.cache._buffers
-                      if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(arena_keys) == tight.memory_plan.num_slots
+        # Every cache that executed a planned chunk holds the full arena
+        # (the caller's cache only records the first chunk when the
+        # remaining chunks went to the pool).
+        arena_counts = [sum(key[0].startswith(BufferCache.ARENA_PREFIX)
+                            for key in cache._buffers)
+                        for cache in tight._caches]
+        assert any(arena_counts)
+        assert set(arena_counts) <= {0, tight.memory_plan.num_slots}
+        tight.close()
+        reference.close()
 
     def test_arena_bytes_do_not_consume_the_scratch_budget(self, rng):
         # Arena bytes exceeding max_bytes must not evict scratch buffers on
