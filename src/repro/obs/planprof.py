@@ -15,8 +15,12 @@ per step; profiling is strictly opt-in (``plan_stats --profile``, or
 ``perf_counter`` pair is real overhead on microsecond kernels.
 
 The profile surfaces as a per-op table (:meth:`PlanProfiler.table`): one row
-per plan step in execution order plus an aggregate per op kind — the
-baseline any native-kernel backend has to beat, kernel by kernel.
+per plan step in execution order, named relative to its plan (e.g.
+``blocks.3.dw``), plus an aggregate per op kind — the baseline any
+native-kernel backend has to beat, kernel by kernel.  The kind is the op,
+except that convolutions the depthwise kernel runs (one input channel per
+group, see :attr:`Step.kind <repro.runtime.plan.Step.kind>`) aggregate as
+``depthwise``, apart from the GEMM convolutions.
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ class PlanProfiler:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = threading.Lock()
         #: (plan, index) -> (op, name, seconds-histogram, bytes-counter,
-        #: calls-counter)
+        #: calls-counter, kind)
         self._steps: Dict[Tuple[str, int], tuple] = {}
         self._order: List[Tuple[str, int]] = []
 
     # ------------------------------------------------------------------
     def record(self, plan_name: str, index: int, op: str, name: str,
-               seconds: float, bytes_moved: int) -> None:
+               seconds: float, bytes_moved: int, kind: str) -> None:
         key = (plan_name, index)
         entry = self._steps.get(key)
         if entry is None:
@@ -65,7 +69,8 @@ class PlanProfiler:
                              self.registry.histogram(f"{prefix}.seconds",
                                                      STEP_TIME_BUCKETS),
                              self.registry.counter(f"{prefix}.bytes"),
-                             self.registry.counter(f"{prefix}.calls"))
+                             self.registry.counter(f"{prefix}.calls"),
+                             kind)
                     self._steps[key] = entry
                     self._order.append(key)
         entry[2].observe(seconds)
@@ -80,13 +85,14 @@ class PlanProfiler:
             steps = dict(self._steps)
         rows = []
         for plan_name, index in order:
-            op, name, hist, nbytes, calls = steps[(plan_name, index)]
+            op, name, hist, nbytes, calls, kind = steps[(plan_name, index)]
             count = max(1, int(calls.value))
             total_s = hist.sum
             rows.append({
                 "plan": plan_name,
                 "step": index,
                 "op": op,
+                "kind": kind,
                 "name": name,
                 "calls": int(calls.value),
                 "total_s": total_s,
@@ -102,7 +108,7 @@ class PlanProfiler:
         """Aggregate rows per op kind, sorted by total time descending."""
         totals: Dict[str, dict] = {}
         for row in self.rows():
-            agg = totals.setdefault(row["op"], {"op": row["op"], "steps": 0,
+            agg = totals.setdefault(row["kind"], {"op": row["kind"], "steps": 0,
                                                 "calls": 0, "total_s": 0.0,
                                                 "bytes_moved": 0})
             agg["steps"] += 1
@@ -124,14 +130,18 @@ class PlanProfiler:
         rows = self.rows()
         if not rows:
             return "# plan profile: no steps recorded"
+        names = [row["name"].removeprefix(row["plan"] + ".") for row in rows]
+        plan_w = max(len("plan"), *(len(row["plan"]) for row in rows))
+        name_w = max(len("name"), *(len(name) for name in names))
         lines = [f"# plan profile: {len(rows)} steps",
-                 f"{'plan':<10} {'step':>4} {'op':<14} {'name':<24} "
+                 f"{'plan':<{plan_w}} {'step':>4} {'op':<14} "
+                 f"{'name':<{name_w}} "
                  f"{'calls':>6} {'total_ms':>9} {'mean_us':>9} {'p99_us':>9} "
                  f"{'MB_moved':>9} {'GB/s':>6}"]
-        for row in rows:
+        for row, name in zip(rows, names):
             lines.append(
-                f"{row['plan']:<10} {row['step']:>4} {row['op']:<14} "
-                f"{row['name'][:24]:<24} {row['calls']:>6} "
+                f"{row['plan']:<{plan_w}} {row['step']:>4} {row['op']:<14} "
+                f"{name:<{name_w}} {row['calls']:>6} "
                 f"{row['total_s'] * 1e3:>9.2f} {row['mean_us']:>9.1f} "
                 f"{row['p99_us']:>9.1f} "
                 f"{row['bytes_moved'] / 1e6:>9.2f} {row['gb_per_s']:>6.2f}")

@@ -1,7 +1,7 @@
 """Fused inference kernels for the batched runtime.
 
 These kernels operate on raw ``numpy`` arrays — no :class:`~repro.nn.tensor.Tensor`
-wrappers, no autograd bookkeeping.  Three ideas keep them fast:
+wrappers, no autograd bookkeeping.  Four ideas keep them fast:
 
 * **stride-tricks im2col with buffer reuse** — the sliding-window view of the
   padded input is materialised into a column buffer that is allocated once
@@ -12,7 +12,12 @@ wrappers, no autograd bookkeeping.  Three ideas keep them fast:
   the GEMM output, so every conv layer makes a single pass over its output;
 * **batched GEMM** — dense and pointwise convolutions are expressed as
   ``matmul`` over the whole micro-batch, hitting BLAS instead of Python
-  loops.
+  loops;
+* **channels-last depthwise taps** — depthwise convolutions skip im2col and
+  multiply-accumulate their taps over a channels-last copy of the padded
+  input, with each tap's weights tiled to a full ``(out_w, c)`` row, so
+  every NumPy pass runs a long contiguous inner loop (``out_w * c``
+  elements at stride 1) instead of one ``out_w``-wide NCHW window row.
 """
 
 from __future__ import annotations
@@ -197,44 +202,97 @@ def im2col_cached(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     return cols.reshape(n, c, kh * kw, out_h * out_w)
 
 
+def pad_channels_last(x: np.ndarray, padding: int,
+                      cache: Optional[BufferCache] = None) -> np.ndarray:
+    """Zero-pad NCHW ``x`` into a channels-last ``(n, h+2p, w+2p, c)`` buffer.
+
+    One transposing copy writes the interior.  As in :func:`pad_cached`, the
+    halo ring is rezeroed on every call because layers with equal padded
+    shapes but different ``(h, padding)`` splits share the cached buffer:
+    rows ``[0, p)`` and ``[h+p, h+2p)`` at full width, columns ``[0, p)``
+    and ``[w+p, w+2p)`` of the middle rows, plus the interior, cover every
+    element (pinned by the poisoning test in
+    ``tests/test_runtime_depthwise.py``).
+    """
+    n, c, h, w = x.shape
+    padded_shape = (n, h + 2 * padding, w + 2 * padding, c)
+    if cache is not None:
+        padded = cache.get("dwpad", padded_shape, x.dtype)
+        padded[:, :padding] = 0
+        padded[:, h + padding:] = 0
+        padded[:, padding:h + padding, :padding] = 0
+        padded[:, padding:h + padding, w + padding:] = 0
+    else:
+        padded = np.zeros(padded_shape, dtype=x.dtype)
+    padded[:, padding:padding + h, padding:padding + w] = \
+        x.transpose(0, 2, 3, 1)
+    return padded
+
+
+def is_depthwise(weight: np.ndarray, groups: int) -> bool:
+    """True when a conv with ``weight`` and ``groups`` runs the depthwise path.
+
+    That is one input channel per group and one group per output channel,
+    the case :func:`fused_conv` and :func:`int_accumulate_conv` hand to
+    :func:`depthwise_conv`.
+    """
+    return weight.shape[1] == 1 and groups == weight.shape[0]
+
+
 def depthwise_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1,
                    padding: int = 0, cache: Optional[BufferCache] = None,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Depthwise 2-D convolution without im2col.
+    """Depthwise 2-D convolution without im2col, run channels-last.
 
     A depthwise kernel uses each column of the ``C*kh*kw`` im2col matrix for
     exactly one output channel — materialising it is an O(k²) waste.  This
-    fast path multiply-accumulates the ``kh*kw`` taps of the zero-copy
-    window view directly into the output.
+    fast path multiply-accumulates the ``kh*kw`` taps of a zero-copy window
+    view instead: the tap ``(0, 0)`` product first, then each further tap's
+    product added in row-major tap order.
+
+    The taps run over a channels-last copy of the padded input, so each
+    NumPy pass iterates ``out_w * c`` contiguous elements (stride 1) or
+    ``c`` (stride 2) instead of the ``out_w`` an NCHW window row offers.
+    Each tap's per-channel weights are tiled into an ``(out_w, c)`` row
+    first: a broadcast ``(c,)`` vector has a zero stride along ``out_w``,
+    which stops NumPy from merging that axis with the channels.  The sum
+    accumulates in a cached channels-last buffer, each product is staged in
+    ``out``'s own memory (overwritten only by the final transposing copy),
+    so the kernel caches no more bytes than the padded input and one
+    output-sized accumulator.
 
     ``weight`` is ``(c, 1, kh, kw)`` *already cast to the accumulation
     dtype*: float32 for the float path, the exact-GEMM dtype for the int8
     path (integer products and sums are exact there, so the tap order cannot
-    perturb a bit).  Returns ``(n, c, out_h, out_w)`` in the weight dtype.
+    perturb a bit).  Returns ``(n, c, out_h, out_w)`` in the weight dtype,
+    written into ``out`` (of that dtype) when given.
     """
     n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
-    if padding > 0:
-        x = pad_cached(x, padding, cache)
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    view = sliding_window_view(x, kh, kw, stride)
-    taps = weight.reshape(c, kh, kw)
+    padded = pad_channels_last(x, padding, cache)
+    sn, sh, sw, sc = padded.strides
+    view = np.lib.stride_tricks.as_strided(
+        padded, shape=(n, kh, kw, out_h, out_w, c),
+        strides=(sn, sh, sw, sh * stride, sw * stride, sc), writeable=False)
+    acc_shape = (n, out_h, out_w, c)
+    acc = cache.get("dwacc", acc_shape, weight.dtype) if cache is not None \
+        else np.empty(acc_shape, dtype=weight.dtype)
+    rows = np.empty((kh * kw, out_w, c), dtype=weight.dtype)
+    rows[...] = weight.reshape(c, kh * kw).T[:, None, :]
     if out is None:
         out = np.empty((n, c, out_h, out_w), dtype=weight.dtype)
-    np.multiply(view[:, :, 0, 0], taps[:, 0, 0].reshape(1, c, 1, 1), out=out)
+    np.multiply(view[:, 0, 0], rows[0], out=acc)
     if kh * kw > 1:
-        if cache is not None:
-            scratch = cache.get("dwtap", out.shape, weight.dtype)
+        if out.flags.c_contiguous:
+            product = out.reshape(acc_shape)
         else:
-            scratch = np.empty_like(out)
-        for i in range(kh):
-            for j in range(kw):
-                if i == 0 and j == 0:
-                    continue
-                np.multiply(view[:, :, i, j], taps[:, i, j].reshape(1, c, 1, 1),
-                            out=scratch)
-                out += scratch
+            product = np.empty_like(acc)
+        for tap in range(1, kh * kw):
+            np.multiply(view[:, tap // kw, tap % kw], rows[tap], out=product)
+            acc += product
+    np.copyto(out, acc.transpose(0, 3, 1, 2))
     return out
 
 
@@ -267,7 +325,7 @@ def fused_conv(x: np.ndarray, weight: np.ndarray,
     dest = out.reshape(n, out_c, spatial)
     pointwise = (kh == 1 and kw == 1 and stride == 1 and padding == 0
                  and groups == 1)
-    depthwise = groups == c and groups == out_c
+    depthwise = is_depthwise(weight, groups)
     if pointwise:
         np.matmul(weight.reshape(out_c, c), x.reshape(n, c, spatial), out=dest)
     elif depthwise:
@@ -549,7 +607,7 @@ def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
 
     pointwise = (kh == 1 and kw == 1 and stride == 1 and padding == 0
                  and groups == 1)
-    depthwise = groups == c and groups == out_c
+    depthwise = is_depthwise(weight_q, groups)
     weight_f = weight_q.astype(dtype)
     if cache is not None:
         acc = cache.get("qacc", (n, out_c, spatial), dtype)
@@ -649,14 +707,18 @@ def fused_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
 def fused_qlinear(q: np.ndarray, weight_q: np.ndarray, dequant: np.ndarray,
                   bias: Optional[np.ndarray] = None,
                   act: Optional[str] = None,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  out: Optional[np.ndarray] = None,
+                  acc_bound: Optional[int] = None) -> np.ndarray:
     """Int8 GEMM ``q @ weight_q.T`` with a float rescale at the end.
 
     ``weight_q`` is ``(out, in)`` int8; ``dequant`` holds the per-output-row
     ``s_in * s_w[row]`` factors.  The accumulation is exact (see
-    :func:`int_accumulate_conv`), the output is float32.
+    :func:`int_accumulate_conv`), the output is float32.  ``acc_bound`` is
+    the compiled worst-case accumulator (recomputed from ``weight_q`` when
+    omitted).
     """
-    bound = conv_accumulator_bound(weight_q)
+    bound = acc_bound if acc_bound is not None \
+        else conv_accumulator_bound(weight_q)
     if bound > INT32_ACC_LIMIT:
         raise OverflowError(
             f"int8 linear accumulator bound {bound} exceeds the int32 range")

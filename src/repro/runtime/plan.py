@@ -48,6 +48,21 @@ class Step:
         return (f"Step({self.op!r}, {self.name!r}, "
                 f"{','.join(self.inputs)} -> {self.output})")
 
+    @property
+    def kind(self) -> str:
+        """The op, or ``depthwise`` for a conv the depthwise kernel runs.
+
+        A ``conv``/``qconv``/``qconv_dequant`` step that
+        :func:`~repro.runtime.kernels.is_depthwise` routes to the depthwise
+        kernel reports ``depthwise``, so the per-op profile aggregates it
+        apart from the GEMM convolutions.
+        """
+        if self.op in ("conv", "qconv", "qconv_dequant") \
+                and kernels.is_depthwise(self.arrays["weight"],
+                                         self.attrs.get("groups", 1)):
+            return "depthwise"
+        return self.op
+
 
 @dataclass
 class InferencePlan:
@@ -175,7 +190,8 @@ class InferencePlan:
                     registers[reg].nbytes for reg in step.inputs
                     if reg in registers)
                 profiler.record(self.name, index, step.op, step.name,
-                                time.perf_counter() - started, moved)
+                                time.perf_counter() - started, moved,
+                                kind=step.kind)
             registers[step.output] = value
             if record is not None:
                 record[step.output] = (value.shape, value.dtype.str)
@@ -261,7 +277,8 @@ def _execute_step(step: Step, registers: Dict[str, np.ndarray],
         return kernels.fused_qlinear(x, step.arrays["weight"],
                                      step.arrays["dequant"],
                                      step.arrays.get("bias"),
-                                     act=step.attrs.get("act"), out=out)
+                                     act=step.attrs.get("act"), out=out,
+                                     acc_bound=step.attrs.get("acc_bound"))
     if op == "quantize":
         return kernels.quantize_int8(x, step.attrs["scale"], out=out)
     if op == "dequantize":

@@ -314,6 +314,27 @@ class TestPlanProfiler:
         shares = [agg["share"] for agg in predictor.profiler.by_op()]
         assert sum(shares) == pytest.approx(1.0)
 
+    def test_table_separates_depthwise_steps(self, learned):
+        model, shots = learned
+        predictor = BatchedPredictor(model, micro_batch=4, profile=True)
+        predictor.embed(shots[:4])
+        profiler = predictor.profiler
+        table = profiler.table()
+        # Step names print relative to their plan, in aligned columns.
+        header = table.splitlines()[1]
+        dw_line = next(line for line in table.splitlines()
+                       if " blocks.0.dw " in line)
+        assert dw_line.index("blocks.0.dw") == header.index("name")
+        plan_name = predictor.backbone_engine.plan.name
+        assert f"{plan_name}.blocks" not in table
+        # The nine depthwise convolutions aggregate apart from the GEMM ones.
+        kinds = {agg["op"]: agg for agg in profiler.by_op()}
+        assert kinds["depthwise"]["steps"] == 9
+        assert all(row["op"] == "conv" for row in profiler.rows()
+                   if row["kind"] == "depthwise")
+        assert sum(agg["share"] for agg in kinds.values()) \
+            == pytest.approx(1.0)
+
 
 # ---------------------------------------------------------------------------
 # ServeStats on the registry

@@ -405,3 +405,47 @@ class TestAccuracyAndGuards:
         net.input_quantizer = act_pass.input_quantizer
         with pytest.raises(Int8CompilationError):
             compile_module(net, mode="int8")
+
+    @staticmethod
+    def _qlinear_step():
+        """A ``qlinear`` step on small int8 weights, and int8 input codes."""
+        from repro.runtime.plan import Step
+
+        rng = np.random.default_rng(0)
+        weight = rng.integers(-127, 128, (3, 5)).astype(np.int8)
+        codes = rng.integers(-127, 128, (2, 5)).astype(np.int8)
+        step = Step("qlinear", "fcr.linear", ("x",), "y",
+                    arrays={"weight": weight,
+                            "dequant": np.full(3, 0.01, dtype=np.float64)},
+                    attrs={"act": None})
+        return step, codes
+
+    def test_qlinear_step_overflow_uses_the_compiled_bound(self):
+        # The kernel trusts the bound the compiler stored on the step: one
+        # past the int32 range is refused even though these small weights'
+        # own bound would pass.
+        from repro.runtime.kernels import INT32_ACC_LIMIT
+        from repro.runtime.plan import InferencePlan
+
+        step, codes = self._qlinear_step()
+        step.attrs["acc_bound"] = INT32_ACC_LIMIT + 1
+        with pytest.raises(OverflowError):
+            InferencePlan([step]).execute(codes)
+
+    def test_qlinear_step_does_not_recompute_the_bound(self, monkeypatch):
+        from repro.runtime import kernels
+        from repro.runtime.plan import InferencePlan
+
+        step, codes = self._qlinear_step()
+        step.attrs["acc_bound"] = kernels.conv_accumulator_bound(
+            step.arrays["weight"])
+        # Without a bound the kernel still checks the weights itself.
+        expected = kernels.fused_qlinear(codes, step.arrays["weight"],
+                                         step.arrays["dequant"])
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("qlinear recomputed its accumulator bound")
+
+        monkeypatch.setattr(kernels, "conv_accumulator_bound", recompute)
+        np.testing.assert_array_equal(InferencePlan([step]).execute(codes),
+                                      expected)

@@ -1,10 +1,11 @@
 """Perf-regression harness: batched runtime vs eager per-sample evaluation.
 
 Benchmarks nearest-prototype classification on the MobileNetV2-style tiny
-backbone through both execution paths, writes the measurements to
-``BENCH_runtime.json`` at the repository root, and fails if the batched
-runtime drops below the required speedup over the eager per-sample path —
-the regression guard for the ISSUE 1 acceptance criterion.
+backbone through both execution paths and fails if the batched runtime drops
+below the required speedup over the eager per-sample path.  The fast tier
+only checks; the ``slow`` tier (``pytest -m slow``) repeats the measurement
+and appends it to ``BENCH_runtime.json`` at the repository root, so a plain
+``pytest -q`` leaves the tracked trend file untouched.
 
 The numbers on a current laptop-class CPU are 7.5-10x; the 4.5x threshold
 (raised from 3x when the plan optimizer landed — arena-planned execution,
@@ -49,14 +50,20 @@ def bench_model():
     return model
 
 
-def test_batched_runtime_meets_speedup_floor(bench_model):
+def measure_batched_vs_eager(model):
+    """Time the batched runtime against the eager per-sample path.
+
+    Returns ``(parity, speedup, peak_reduction, record)``: the eager parity
+    report, the unrounded throughput ratio and arena peak reduction, and the
+    ``BENCH_runtime.json`` entry (appended only by the slow tier).
+    """
     rng = np.random.default_rng(1)
     images = rng.standard_normal((BATCHED_SAMPLES, 3, 16, 16)).astype(np.float32)
-    predictor = bench_model.runtime_predictor()
+    predictor = model.runtime_predictor()
 
     # Warm both paths (compile the plan, fault in the buffer cache / BLAS).
     predictor.predict(images[:32])
-    bench_model.predict(images[:1], use_runtime=False)
+    model.predict(images[:1], use_runtime=False)
 
     start = time.perf_counter()
     predictor.predict(images)
@@ -65,12 +72,12 @@ def test_batched_runtime_meets_speedup_floor(bench_model):
 
     start = time.perf_counter()
     for sample in images[:PER_SAMPLE_PROBE]:
-        bench_model.predict(sample[None], use_runtime=False)
+        model.predict(sample[None], use_runtime=False)
     eager_seconds = time.perf_counter() - start
     eager_rate = PER_SAMPLE_PROBE / eager_seconds
 
     speedup = batched_rate / eager_rate
-    parity = compare_with_eager(bench_model, images[:32])
+    parity = compare_with_eager(model, images[:32])
 
     engine = predictor.backbone_engine
     memory_plan = engine.memory_plan
@@ -98,25 +105,43 @@ def test_batched_runtime_meets_speedup_floor(bench_model):
         "num_threads": engine.num_threads,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    append_bench_record(BENCH_PATH, record)
+    return parity, speedup, peak_reduction, record
 
+
+def assert_meets_floors(parity, speedup, peak_reduction):
     assert parity.ok, f"parity broken before perf comparison: {parity.summary()}"
     assert speedup >= REQUIRED_SPEEDUP, (
         f"batched runtime is only {speedup:.2f}x faster than the eager "
-        f"per-sample path (required >= {REQUIRED_SPEEDUP}x); see {BENCH_PATH}")
+        f"per-sample path (required >= {REQUIRED_SPEEDUP}x)")
     assert peak_reduction >= REQUIRED_PEAK_REDUCTION, (
         f"arena memory plan only cuts peak intermediate memory by "
-        f"{peak_reduction:.1%} (required >= {REQUIRED_PEAK_REDUCTION:.0%}); "
-        f"see {BENCH_PATH}")
+        f"{peak_reduction:.1%} (required >= {REQUIRED_PEAK_REDUCTION:.0%})")
 
 
+def test_batched_runtime_meets_speedup_floor(bench_model):
+    # The fast tier checks the floors and writes nothing: only the slow
+    # tier below appends to the tracked BENCH_runtime.json.
+    parity, speedup, peak_reduction, _record = \
+        measure_batched_vs_eager(bench_model)
+    assert_meets_floors(parity, speedup, peak_reduction)
+
+
+@pytest.mark.slow
+def test_batched_runtime_speedup_recorded(bench_model):
+    parity, speedup, peak_reduction, record = \
+        measure_batched_vs_eager(bench_model)
+    append_bench_record(BENCH_PATH, record)
+    assert_meets_floors(parity, speedup, peak_reduction)
+
+
+@pytest.mark.slow
 def test_bench_record_is_written_and_valid(bench_model):
-    # Runs after the benchmark in file order; guards the artefact contract
-    # that downstream tooling (README workflow, CI) relies on.  The history
-    # interleaves two record kinds — the batched-vs-eager speedup records
-    # and the slow-marked int8-vs-float32 section — so the speedup contract
-    # is asserted on the most recent record of that kind, not on whatever
-    # happens to sit in the ``latest`` slot.
+    # Runs after the recording test in file order; guards the artefact
+    # contract that downstream tooling (README workflow, CI) relies on.  The
+    # history interleaves two record kinds — the batched-vs-eager speedup
+    # records and the slow-marked int8-vs-float32 section — so the speedup
+    # contract is asserted on the most recent record of that kind, not on
+    # whatever happens to sit in the ``latest`` slot.
     data = json.loads(BENCH_PATH.read_text())
     speedup_records = [entry for entry in data["history"]
                        if "speedup" in entry]
