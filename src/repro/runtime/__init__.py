@@ -30,14 +30,12 @@ from .compiler import (
     bn_scale_shift,
     compile_backbone,
     compile_module,
-    compile_ofscil,
     fold_conv_bn,
     has_hooks,
 )
 from .engine import DEFAULT_MICRO_BATCH, InferenceEngine, default_num_threads
-from .ir import Graph, GraphInvariantError, Node, RewriteRule, Value
 from .kernels import BufferCache
-from .optimizer import MemoryPlan, optimize_plan, plan_memory, run_rules
+from .optimizer import MemoryPlan, optimize_plan, plan_memory
 from .plan import InferencePlan, Step
 from .predictor import BatchedPredictor
 
@@ -48,7 +46,6 @@ __all__ = [
     "Int8CompilationError",
     "compile_module",
     "compile_backbone",
-    "compile_ofscil",
     "fold_conv_bn",
     "bn_scale_shift",
     "has_hooks",
@@ -58,13 +55,7 @@ __all__ = [
     "BufferCache",
     "MemoryPlan",
     "optimize_plan",
-    "run_rules",
     "plan_memory",
-    "Graph",
-    "Value",
-    "Node",
-    "RewriteRule",
-    "GraphInvariantError",
     "BatchedPredictor",
     "ParityReport",
     "compare_with_eager",

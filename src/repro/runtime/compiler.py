@@ -158,26 +158,6 @@ def compile_backbone(backbone: Module, mode: str = "float32") -> InferencePlan:
     return compile_module(backbone, backbone.__class__.__name__, mode=mode)
 
 
-def compile_ofscil(model, mode: str = "float32") -> InferencePlan:
-    """Compile the full deploy-time feature path of an O-FSCIL model.
-
-    The plan maps images to the prototypical feature ``theta_p`` (backbone
-    followed by the FCR); prototype comparison lives in the predictor where
-    the prototype matrix can be cached across calls.
-    """
-    if mode == "int8":
-        builder = _Int8Builder(f"OFSCIL[{model.config.backbone}]")
-        x = _emit_input_quantize(builder, model.backbone, "x")
-        features = _lower_int8(builder, model.backbone, "backbone", x)
-        out = _lower_int8(builder, model.fcr, "fcr", features)
-        out = _ensure_float(builder, out, "dequant_out")
-        return builder.build("x", out)
-    builder = PlanBuilder(f"OFSCIL[{model.config.backbone}]")
-    features = _lower(builder, model.backbone, "backbone", "x")
-    out = _lower(builder, model.fcr, "fcr", features)
-    return builder.build("x", out)
-
-
 # ---------------------------------------------------------------------------
 # Lowering rules
 # ---------------------------------------------------------------------------

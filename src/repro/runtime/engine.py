@@ -99,8 +99,7 @@ class InferenceEngine:
         # ``capacity_batch`` would otherwise key one eviction-exempt buffer
         # per distinct batch size per slot.
         if memory_plan is not None and optimize and plan.optimized:
-            shipped = getattr(memory_plan, "capacity_batch", 1)
-            if shipped < micro_batch:
+            if memory_plan.capacity_batch < micro_batch:
                 memory_plan = dataclasses.replace(memory_plan,
                                                   capacity_batch=micro_batch)
             self.memory_plan: Optional[MemoryPlan] = memory_plan
@@ -140,16 +139,10 @@ class InferenceEngine:
                        fn=lambda: self.arena_peak_bytes)
         registry.gauge(f"{prefix}.arena_slots", fn=lambda: self.arena_slots)
         registry.gauge(f"{prefix}.plan_steps", fn=lambda: len(self.plan))
-        # Graph-rewrite statistics of the optimized plan (all zero when the
-        # engine runs a raw plan): total rule applications plus the CSE
-        # count, the two aggregate health signals of the rewrite pipeline.
-        registry.gauge(
-            f"{prefix}.opt_rule_applications",
-            fn=lambda: sum(getattr(self.plan, "pass_stats", {}).values()))
-        registry.gauge(
-            f"{prefix}.opt_cse_hits",
-            fn=lambda: getattr(self.plan, "pass_stats", {}).get(
-                "common_subexpression_elimination", 0))
+        # Total fusion applications of the optimized plan (zero when the
+        # engine runs a raw plan).
+        registry.gauge(f"{prefix}.opt_rule_applications",
+                       fn=lambda: sum(self.plan.pass_stats.values()))
 
     def _new_cache(self) -> BufferCache:
         """A buffer cache holding one execution context's budget share."""

@@ -1,25 +1,20 @@
 """Post-compile plan optimization and arena memory planning.
 
 The compiler (:mod:`repro.runtime.compiler`) emits a faithful flat plan; this
-module makes it cheap to execute without moving a single output bit.  The
-optimization passes run on the SSA graph IR of :mod:`repro.runtime.ir`: the
-plan is promoted to a typed def-use graph, rewritten by the legality-checked
-rules of :mod:`repro.runtime.rewrites`, and lowered back to a flat plan with
-its register names intact (so arena plans, snapshots and golden fixtures
-keyed by register names stay valid).
+module makes it cheap to execute without moving a single output bit.
 
-* :func:`optimize_plan` — the full pipeline
-  (:data:`~repro.runtime.rewrites.PIPELINE`): dead-node elimination
-  (``opaque`` steps may carry hook side effects and are always kept), the
-  bit-exact identity folds (``FOLD_RULES``), the quantize-chain fusions
-  (``FUSION_RULES``), common-subexpression elimination, and the int8
-  residual superfusion ``qconv_dequant -> add [-> requantize]`` into one
-  ``qconv_add`` step.  The optimized plan carries the per-rule application
-  counts in ``plan.pass_stats``.
+* :func:`optimize_plan` — the four int8 fusions of :data:`FUSIONS`, each one
+  sweep over the flat step list, run in table order.  A fusion absorbs a
+  feeder step into the one step that reads it; a feeder read twice, or
+  holding the plan output, is never absorbed.  Fused steps replay the
+  fused kernels' arithmetic (see :mod:`repro.runtime.kernels`, whose fused
+  paths are literal sequences of the standalone kernels), so the committed
+  int8 golden fixtures pin every fusion bit for bit.  Register names and
+  step positions survive, so arena plans, snapshots and goldens keyed by
+  them stay valid.  The optimized plan carries each fusion's application
+  count in ``plan.pass_stats``.
   :class:`~repro.runtime.engine.InferenceEngine` is its one caller in the
   runtime.
-* :func:`run_rules` — any sequence of those rules, in the given order (the
-  conformance tests run each rule group in isolation).
 * :func:`plan_memory` — a liveness-based arena planner: every step output is
   assigned to one of a small set of reusable slots such that no two
   simultaneously-live registers ever share one.  The executor
@@ -37,15 +32,15 @@ the batch dimension for every op in the plan vocabulary.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ir import Graph
-from .plan import InferencePlan
-from .rewrites import run_pipeline
+from .plan import InferencePlan, Step
 
 #: Ops whose output is a reshaped view of their input: the planner aliases
 #: the output onto the input's storage instead of assigning a slot.
@@ -53,34 +48,170 @@ ALIAS_OPS = ("flatten",)
 
 
 # ---------------------------------------------------------------------------
-# Optimization passes (flat-plan façade over the graph rules)
+# Fusions
 # ---------------------------------------------------------------------------
-def run_rules(plan: InferencePlan,
-              rules: Tuple[type, ...]) -> InferencePlan:
-    """Run the graph rewrite ``rules`` over ``plan`` in order.
+def _single_use(steps: List[Step], output_register: str,
+                op: str) -> Dict[str, Step]:
+    """The ``op`` steps a fusion may absorb, keyed by their output register.
 
-    Returns ``plan`` itself when no rule applied, so callers can test for a
-    no-op with ``is``.  ``rules`` is a sequence of rule classes, e.g.
-    ``FUSION_RULES`` or ``(DeadNodeElimination,)``.
+    A step qualifies when exactly one read in the plan takes its register
+    and that read is not the plan output, so absorbing it into its reader
+    loses no value anyone else needs.
     """
-    graph = Graph.from_plan(plan)
-    if not sum(run_pipeline(graph, rules=rules).values()):
-        return plan
-    return graph.to_plan()
+    reads = Counter(register for step in steps for register in step.inputs)
+    reads[output_register] += 1
+    return {step.output: step for step in steps
+            if step.op == op and reads[step.output] == 1}
+
+
+def _apply(steps: List[Step],
+           replaced: Dict[int, Optional[Step]]) -> Tuple[List[Step], int]:
+    """Swap each step keyed in ``replaced`` (by ``id``) for its value.
+
+    A None value drops the step.  Returns the new step list and the number
+    of fused steps written; the raw steps are never mutated.
+    """
+    fused = [replaced.get(id(step), step) for step in steps]
+    return ([step for step in fused if step is not None],
+            sum(step is not None for step in replaced.values()))
+
+
+def _dequantize_into_add(steps: List[Step],
+                         output_register: str) -> Tuple[List[Step], int]:
+    """``dequantize -> add``: the add dequantizes that int8 operand itself.
+
+    Every operand position fed by an absorbable ``dequantize`` takes the
+    codes plus an ``in_scale_<position>`` attr;
+    :func:`~repro.runtime.kernels.fused_add` replays
+    :func:`~repro.runtime.kernels.dequantize_int8` verbatim.
+    """
+    feeders = _single_use(steps, output_register, "dequantize")
+    replaced: Dict[int, Optional[Step]] = {}
+    for step in steps:
+        if step.op != "add" or \
+                not any(register in feeders for register in step.inputs):
+            continue
+        inputs, attrs = list(step.inputs), dict(step.attrs)
+        for position, register in enumerate(step.inputs):
+            feeder = feeders.get(register)
+            if feeder is not None:
+                inputs[position] = feeder.inputs[0]
+                attrs[f"in_scale_{position}"] = feeder.attrs["scale"]
+                replaced[id(feeder)] = None
+        replaced[id(step)] = dataclasses.replace(step, inputs=tuple(inputs),
+                                                 attrs=attrs)
+    return _apply(steps, replaced)
+
+
+def _add_quantize_fusion(steps: List[Step],
+                         output_register: str) -> Tuple[List[Step], int]:
+    """``add -> quantize``: the add requantizes its activated sum to int8.
+
+    The add, when it has no ``out_scale`` yet, takes the quantize's scale
+    and writes the quantize's register, at its own position.
+    """
+    adds = _single_use(steps, output_register, "add")
+    replaced: Dict[int, Optional[Step]] = {}
+    for step in steps:
+        feeder = adds.get(step.inputs[0]) if step.op == "quantize" else None
+        if feeder is None or "out_scale" in feeder.attrs:
+            continue
+        replaced[id(feeder)] = dataclasses.replace(
+            feeder, output=step.output,
+            attrs={**feeder.attrs, "out_scale": step.attrs["scale"]})
+        replaced[id(step)] = None
+    return _apply(steps, replaced)
+
+
+def _dequantize_quantize_to_requantize(
+        steps: List[Step], output_register: str) -> Tuple[List[Step], int]:
+    """``dequantize -> quantize`` becomes one ``qrequantize`` code rescale.
+
+    :func:`~repro.runtime.kernels.requantize_codes` replays the dequantize
+    and the quantize through a scratch buffer.
+    """
+    feeders = _single_use(steps, output_register, "dequantize")
+    replaced: Dict[int, Optional[Step]] = {}
+    for step in steps:
+        feeder = feeders.get(step.inputs[0]) if step.op == "quantize" \
+            else None
+        if feeder is None:
+            continue
+        replaced[id(feeder)] = None
+        replaced[id(step)] = Step(
+            op="qrequantize", name=step.name, inputs=(feeder.inputs[0],),
+            output=step.output,
+            attrs={"in_scale": feeder.attrs["scale"],
+                   "scale": step.attrs["scale"]})
+    return _apply(steps, replaced)
+
+
+def _qconv_add_superfusion(steps: List[Step],
+                           output_register: str) -> Tuple[List[Step], int]:
+    """``qconv_dequant -> add [-> requantize]`` becomes one ``qconv_add``.
+
+    The int8 residual tail: a projection convolution dequantizes its int32
+    accumulator into the residual add, whose quantize neighbours the
+    earlier fusions already folded in.  The ``qconv_add`` step runs the
+    identical :func:`~repro.runtime.kernels.fused_qconv_dequant` and
+    :func:`~repro.runtime.kernels.fused_add` and drops the full-size float
+    register between them.  Only the first operand position fed by an
+    absorbable conv, and not dequantized by the add, fuses.
+    """
+    convs = _single_use(steps, output_register, "qconv_dequant")
+    replaced: Dict[int, Optional[Step]] = {}
+    for step in steps:
+        positions = [position for position, register in enumerate(step.inputs)
+                     if register in convs
+                     and step.attrs.get(f"in_scale_{position}") is None]
+        if step.op != "add" or not positions:
+            continue
+        position = positions[0]
+        conv = convs[step.inputs[position]]
+        attrs = {key: conv.attrs.get(key)
+                 for key in ("stride", "padding", "groups", "act",
+                             "acc_bound")}
+        attrs.update({
+            "conv_name": conv.name,
+            "position": position,
+            "add_act": step.attrs.get("act"),
+            "other_scale": step.attrs.get(f"in_scale_{1 - position}"),
+            "out_scale": step.attrs.get("out_scale"),
+        })
+        replaced[id(conv)] = None
+        replaced[id(step)] = Step(
+            op="qconv_add", name=step.name,
+            inputs=(conv.inputs[0], step.inputs[1 - position]),
+            output=step.output, arrays=conv.arrays, attrs=attrs)
+    return _apply(steps, replaced)
+
+
+#: The fusions :func:`optimize_plan` runs, in this order: the superfusion
+#: reads the scales the first two folded into the add.  Each sweep maps
+#: ``(steps, output register)`` to the fused steps and its application
+#: count, and can run alone.
+FUSIONS = {
+    "dequantize_into_add": _dequantize_into_add,
+    "add_quantize_fusion": _add_quantize_fusion,
+    "dequantize_quantize_to_requantize": _dequantize_quantize_to_requantize,
+    "qconv_add_superfusion": _qconv_add_superfusion,
+}
 
 
 def optimize_plan(plan: InferencePlan) -> InferencePlan:
-    """Run the full graph pipeline; idempotent on already-optimized plans.
+    """Run every fusion; idempotent on already-optimized plans.
 
-    The returned plan's ``pass_stats`` maps each rewrite rule to its
-    application count (threaded into ``plan_stats`` and the engine's
-    metrics gauges).
+    The returned plan's ``pass_stats`` maps each fusion to its application
+    count (threaded into ``plan_stats`` and the engine's metrics gauges).
     """
     if plan.optimized:
         return plan
-    graph = Graph.from_plan(plan)
-    stats = run_pipeline(graph)
-    return graph.to_plan(optimized=True, pass_stats=stats)
+    steps, stats = plan.steps, {}
+    for name, sweep in FUSIONS.items():
+        steps, stats[name] = sweep(steps, plan.output_register)
+    return InferencePlan(steps=steps, input_register=plan.input_register,
+                         output_register=plan.output_register,
+                         name=plan.name, optimized=True, pass_stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +292,8 @@ class MemoryPlan:
         if spec is None:
             return None
         slot, shape, dtype, nbytes = spec
-        capacity = getattr(self, "capacity_batch", 1)
-        generation = getattr(self, "_arena_generation", 0)
+        capacity = self.capacity_batch
+        generation = self._arena_generation
         if batch > capacity:
             self.capacity_batch = capacity = batch
             generation = self._arena_generation = generation + 1

@@ -75,8 +75,8 @@ class InferencePlan:
     #: set by :func:`repro.runtime.optimizer.optimize_plan`; optimized plans
     #: are not re-optimized when handed to another engine (or a worker).
     optimized: bool = False
-    #: per-rewrite-rule application counts recorded by the graph pipeline
-    #: (``{rule name: times applied}``); empty on raw plans.
+    #: per-fusion application counts recorded by ``optimize_plan``
+    #: (``{fusion name: times applied}``); empty on raw plans.
     pass_stats: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):

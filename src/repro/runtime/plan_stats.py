@@ -4,16 +4,18 @@ CI runs this after the fast suite (``python -m repro.runtime.plan_stats``)
 so plan-shape or memory-plan regressions — more steps, fewer fused
 epilogues, more arena slots, a bigger peak — are visible in the job log of
 every push, not only when a perf floor finally trips.  The report includes
-the graph rewrite pipeline's per-rule application counts
-(``pass.<rule_name>`` lines, from the optimized plan's ``pass_stats``) and
-``compile_cold_ms``, the wall time of compiling and optimizing the backbone
-and FCR of a fresh predictor — the guard against cold-compile regressions.
+each fusion's application count (``pass.<fusion>`` lines, from the
+optimized plan's ``pass_stats``) and ``compile_cold_ms``, the wall time of
+compiling and optimizing the backbone and FCR of a fresh predictor — the
+guard against cold-compile regressions.
 
 ``python -m repro.runtime.plan_stats <backbone> int8`` reports the integer
 plan instead: the model is put through the deterministic PTQ recipe (seeded
 init, calibration on the synthetic base session, no QAT stages — the same
 construction the conformance fixtures use), so the int8 step/fusion/arena
-counts of both backbone families are pinned in the job log too.
+counts of every backbone family are pinned in the job log too.
+:meth:`InferencePlan.describe() <repro.runtime.plan.InferencePlan.describe>`
+lists the optimized plan step by step.
 
 Flags:
 
@@ -21,17 +23,17 @@ Flags:
     additionally executes the warm-up batch under a
     :class:`~repro.obs.planprof.PlanProfiler` and appends the per-op profile
     table — wall time, call counts, bytes moved and effective bandwidth.
-``--dot``
-    print the optimized plan's SSA graph as Graphviz ``dot`` instead of the
-    stats table (nodes labeled op/name, edges register + dtype + shape);
-    pipe through ``dot -Tsvg`` to render the IR.
 ``--assert-max-steps N``
     exit non-zero if the optimized plan has more than ``N`` steps — the CI
-    gate against rewrite rules silently ceasing to fire.
+    gate against a fusion silently ceasing to fire.
+
+An unknown argument exits 2, so a mistyped gate fails instead of being
+ignored.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 
@@ -99,51 +101,39 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
         "num_threads": engine.num_threads,
         "compile_cold_ms": round(compile_cold_ms, 2),
     }
-    for rule, count in sorted(plan.pass_stats.items()):
-        stats[f"pass.{rule}"] = count
+    for fusion, count in sorted(plan.pass_stats.items()):
+        stats[f"pass.{fusion}"] = count
     stats["profiler"] = predictor.profiler
-    stats["_engine"] = engine
     return stats
 
 
-def plan_dot(backbone: str = DEFAULT_BACKBONE, mode: str = "float32") -> str:
-    """Graphviz dump of the optimized plan's SSA graph (with run shapes)."""
-    from .ir import Graph
-
-    stats = plan_stats(backbone, mode)
-    engine = stats["_engine"]
-    shapes = dict(engine.memory_plan.shapes) if engine.memory_plan else {}
-    return Graph.from_plan(engine.plan, shapes=shapes).to_dot()
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    profile = "--profile" in argv
-    dot = "--dot" in argv
-    argv = [arg for arg in argv if arg not in ("--profile", "--dot")]
-    max_steps = None
-    if "--assert-max-steps" in argv:
-        index = argv.index("--assert-max-steps")
-        try:
-            max_steps = int(argv[index + 1])
-        except (IndexError, ValueError):
-            print("--assert-max-steps requires an integer", file=sys.stderr)
-            return 2
-        del argv[index:index + 2]
-    backbone = argv[0] if argv else DEFAULT_BACKBONE
-    mode = argv[1] if len(argv) > 1 else "float32"
-    if dot:
-        print(plan_dot(backbone, mode))
-        return 0
-    stats = plan_stats(backbone, mode, profile=profile)
+    # No abbreviations: ``--assert-max-step`` must not pass for the gate.
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.runtime.plan_stats",
+        description="Optimizer and memory-plan statistics of a backbone.",
+        allow_abbrev=False)
+    parser.add_argument("backbone", nargs="?", default=DEFAULT_BACKBONE)
+    parser.add_argument("mode", nargs="?", default="float32",
+                        choices=("float32", "int8"))
+    parser.add_argument("--profile", action="store_true",
+                        help="append the per-op profile table")
+    parser.add_argument("--assert-max-steps", type=int, metavar="N",
+                        help="exit 1 if the optimized plan has more than N "
+                             "steps")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:             # --help, or a usage error (2)
+        return stop.code
+    stats = plan_stats(args.backbone, args.mode, profile=args.profile)
     profiler = stats.pop("profiler")
-    stats.pop("_engine")
     width = max(len(key) for key in stats)
     for key, value in stats.items():
         print(f"{key:<{width}}  {value}")
     if profiler is not None:
         print()
         print(profiler.table())
+    max_steps = args.assert_max_steps
     if max_steps is not None and stats["plan_steps"] > max_steps:
         print(f"plan_steps regression: {stats['plan_steps']} > "
               f"--assert-max-steps {max_steps}", file=sys.stderr)

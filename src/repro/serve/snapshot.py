@@ -105,9 +105,9 @@ class PlanSnapshot:
     name: str
     optimized: bool = False
     memory_plan: Optional[MemoryPlan] = None
-    #: graph-rewrite application counts of the optimized plan; carried so a
+    #: fusion application counts of the optimized plan; carried so a
     #: restoring worker's ``opt_rule_applications`` gauges report the same
-    #: pipeline statistics as the coordinator that compiled the plan.
+    #: statistics as the coordinator that compiled the plan.
     pass_stats: Optional[dict] = None
 
     def restore(self) -> InferencePlan:
@@ -116,13 +116,12 @@ class PlanSnapshot:
                              input_register=self.input_register,
                              output_register=self.output_register,
                              name=self.name,
-                             optimized=getattr(self, "optimized", False),
-                             pass_stats=dict(getattr(self, "pass_stats", None)
-                                             or {}))
+                             optimized=self.optimized,
+                             pass_stats=dict(self.pass_stats or {}))
 
     def restore_memory_plan(self) -> Optional[MemoryPlan]:
-        """Arena spec captured with the plan (None on legacy snapshots)."""
-        return getattr(self, "memory_plan", None)
+        """Arena spec captured with the plan (None if none was captured)."""
+        return self.memory_plan
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -161,8 +160,8 @@ def snapshot_plan(plan: InferencePlan,
                         output_register=plan.output_register, name=plan.name,
                         optimized=plan.optimized and not inlined,
                         memory_plan=memory_plan,
-                        pass_stats=dict(getattr(plan, "pass_stats", None)
-                                        or {}) if not inlined else None)
+                        pass_stats=None if inlined
+                        else dict(plan.pass_stats))
 
 
 def _freeze_linear(step: Step) -> Step:

@@ -15,7 +15,6 @@ from repro.runtime import (
     compare_with_eager,
     compile_backbone,
     compile_module,
-    compile_ofscil,
     fold_conv_bn,
     has_hooks,
 )
@@ -178,10 +177,12 @@ class TestCompiler:
 
     def test_plan_describe_lists_every_step(self):
         model = make_model("mobilenetv2_x4_tiny")
-        plan = compile_ofscil(model)
-        description = plan.describe()
-        assert len(description.splitlines()) == len(plan) + 1
-        assert "conv" in description and "fcr" in description
+        backbone = compile_backbone(model.backbone)
+        fcr = compile_module(model.fcr, "fcr")
+        for plan in (backbone, fcr):
+            description = plan.describe()
+            assert len(description.splitlines()) == len(plan) + 1
+        assert "conv" in backbone.describe() and "fcr" in fcr.describe()
 
     @pytest.mark.parametrize("backbone", TINY_BACKBONES)
     def test_all_registry_backbones_compile(self, backbone):

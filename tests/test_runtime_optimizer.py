@@ -1,14 +1,18 @@
-"""Plan optimizer conformance: pass-by-pass parity, arena planning, threads.
+"""Plan optimizer conformance: per-fusion parity, arena planning, threads.
 
-The optimizer's contract is absolute: every pass — dead-step elimination,
-quantize-chain fusion, arena-planned execution, thread-pool chunking — must
-reproduce the unoptimized plan's output *bit for bit*.  Float32 plans are
-compared optimized-vs-raw on the same machine (same kernels, same BLAS, so
-equality is exact); int8 plans are additionally pinned against the committed
-golden fixture after each individual pass.
+The optimizer's contract is absolute: every fusion, arena-planned execution
+and thread-pool chunking must reproduce the unoptimized plan's output *bit
+for bit*.  Float32 plans are compared optimized-vs-raw on the same machine
+(same kernels, same BLAS, so equality is exact); int8 plans are additionally
+pinned against the golden fixture after each individual fusion.  A property
+test runs the fusions on random typed int8 DAGs, where every fusion fires
+and every single-use condition is put to the test.
 """
 
+import dataclasses
+import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ import pytest
 
 from repro import nn
 from repro.core import OFSCIL, OFSCILConfig
+from repro.models import list_configs
 from repro.models.mobilenetv2 import ConvBNReLU
 from repro.obs import MetricsRegistry
 from repro.runtime import (
@@ -25,17 +30,13 @@ from repro.runtime import (
     compile_backbone,
     compile_module,
     optimize_plan,
-    run_rules,
 )
 from repro.runtime import kernels
+from repro.runtime.compiler import MODES
+from repro.runtime.optimizer import FUSIONS
 from repro.runtime.plan import InferencePlan, Step
-from repro.runtime.rewrites import (
-    FOLD_RULES,
-    FUSION_RULES,
-    CommonSubexpressionElimination,
-    DeadNodeElimination,
-    QConvAddSuperfusion,
-)
+from repro.runtime.plan_stats import _build_model
+from repro.runtime.plan_stats import main as plan_stats_main
 from repro.serve import snapshot_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -54,21 +55,24 @@ TINY_BACKBONES = ("mobilenetv2_x4_tiny", "mobilenetv2_tiny", "resnet12_tiny",
 INT8_BACKBONES = (BACKBONE, RESNET_BACKBONE)
 
 
-#: Each rewrite rule group checked in isolation, plus the full pipeline
-#: (``None``), keyed by test id.
-PASSES = {
-    "dead_node_elimination": (DeadNodeElimination,),
-    "fusion_rules": FUSION_RULES,
-    "fold_rules": FOLD_RULES,
-    "common_subexpression_elimination": (CommonSubexpressionElimination,),
-    "qconv_add_superfusion": (QConvAddSuperfusion,),
-    "optimize_plan": None,
-}
+#: Each fusion checked alone, plus the full ``optimize_plan``.
+PASSES = tuple(FUSIONS) + ("optimize_plan",)
 
 
 def run_pass(name: str, plan: InferencePlan) -> InferencePlan:
-    rules = PASSES[name]
-    return optimize_plan(plan) if rules is None else run_rules(plan, rules)
+    if name == "optimize_plan":
+        return optimize_plan(plan)
+    steps, _ = FUSIONS[name](plan.steps, plan.output_register)
+    return dataclasses.replace(plan, steps=steps)
+
+
+def structure(plan: InferencePlan):
+    """Comparable structural fingerprint of a plan (arrays by identity)."""
+    return [(step.op, step.name, tuple(step.inputs), step.output,
+             sorted(step.attrs.items(), key=lambda kv: kv[0]),
+             tuple(sorted((key, id(array))
+                          for key, array in step.arrays.items())))
+            for step in plan.steps]
 
 
 def make_model(backbone: str, seed: int = 0) -> OFSCIL:
@@ -98,7 +102,7 @@ def int8_case(request):
 
 
 # ---------------------------------------------------------------------------
-# Pass-by-pass parity
+# Per-fusion parity
 # ---------------------------------------------------------------------------
 class TestFloatParity:
     @pytest.mark.parametrize("backbone", TINY_BACKBONES)
@@ -124,37 +128,80 @@ class TestFloatParity:
     def test_float_plan_has_no_quantize_chains_to_fuse(self):
         model = make_model("mobilenetv2_x4_tiny")
         plan = compile_backbone(model.backbone)
-        assert run_rules(plan, FUSION_RULES) is plan
-        assert run_rules(plan, (DeadNodeElimination,)) is plan
+        for sweep in FUSIONS.values():
+            steps, applied = sweep(plan.steps, plan.output_register)
+            assert applied == 0
+            assert [id(step) for step in steps] == \
+                [id(step) for step in plan.steps]
+
+
+def fusion_chain(fusion: str, rng) -> list:
+    """The shortest float-in, float-or-codes-out chain ``fusion`` fuses.
+
+    The step writing ``%feed`` is the feeder the fusion absorbs into the
+    last step, which is its only reader and writes ``%out``.
+    """
+    quantize = Step(op="quantize", name="q", inputs=("x",), output="%q",
+                    attrs={"scale": 0.05})
+    dequantize = Step(op="dequantize", name="dq", inputs=("%q",),
+                      output="%feed", attrs={"scale": 0.05})
+    join = Step(op="add", name="join", inputs=("%feed", "x"), output="%out",
+                attrs={"act": "relu"})
+    if fusion == "dequantize_into_add":
+        return [quantize, dequantize, join]
+    if fusion == "add_quantize_fusion":
+        return [Step(op="add", name="join", inputs=("x", "x"),
+                     output="%feed", attrs={"act": "relu"}),
+                Step(op="quantize", name="q", inputs=("%feed",),
+                     output="%out", attrs={"scale": 0.125})]
+    if fusion == "dequantize_quantize_to_requantize":
+        return [quantize, dequantize,
+                Step(op="quantize", name="rq", inputs=("%feed",),
+                     output="%out", attrs={"scale": 0.125})]
+    weight = rng.integers(-127, 128, size=(3, 3, 1, 1)).astype(np.int8)
+    conv = Step(op="qconv_dequant", name="proj", inputs=("%q",),
+                output="%feed",
+                arrays={"weight": weight, "dequant": np.full(3, 0.01),
+                        "bias": np.zeros(3, dtype=np.float32)},
+                attrs={"stride": 1, "padding": 0, "groups": 1, "act": None,
+                       "acc_bound": kernels.conv_accumulator_bound(weight)})
+    return [quantize, conv, join]
 
 
 class TestPassesSynthetic:
-    @staticmethod
-    def _conv_step(name, inputs, output, rng, channels=3):
-        weight = rng.standard_normal((channels, channels, 1, 1)) \
-            .astype(np.float32)
-        return Step(op="conv", name=name, inputs=inputs, output=output,
-                    arrays={"weight": weight,
-                            "bias": np.zeros(channels, dtype=np.float32)},
-                    attrs={"stride": 1, "padding": 0, "groups": 1, "act": None})
-
-    def test_dead_steps_are_eliminated(self, rng):
-        live = self._conv_step("live", ("x",), "%live", rng)
-        dead = self._conv_step("dead", ("x",), "%dead", rng)
-        plan = InferencePlan(steps=[live, dead], output_register="%live")
-        optimized = run_rules(plan, (DeadNodeElimination,))
-        assert [step.name for step in optimized.steps] == ["live"]
+    @pytest.mark.parametrize("second_read", ["none", "step", "plan_output"])
+    @pytest.mark.parametrize("fusion", tuple(FUSIONS))
+    def test_each_fusion_absorbs_only_a_single_use_feeder(self, fusion,
+                                                          second_read, rng):
+        # Each sweep alone, from the fusion table: the feeder vanishes only
+        # when its reader is the one read of its register.
+        steps = fusion_chain(fusion, rng)
+        output = "%feed" if second_read == "plan_output" else "%out"
+        if second_read == "step":
+            steps.append(Step(op="requantize", name="again",
+                              inputs=("%feed",), output="%again",
+                              attrs={"scale": 0.125}))
+            output = "%again"
+        plan = InferencePlan(steps=steps, output_register=output)
+        before = raw_state(plan)
+        fused, applied = FUSIONS[fusion](plan.steps, plan.output_register)
+        assert raw_state(plan) == before
+        if second_read != "none":
+            assert applied == 0
+            assert [id(step) for step in fused] == \
+                [id(step) for step in plan.steps]
+            return
+        assert applied == 1
+        assert len(fused) == len(steps) - 1
+        assert "%feed" not in {step.output for step in fused}
+        assert fused[-1].output == "%out"
+        transformed = dataclasses.replace(plan, steps=fused)
+        assert_ssa(transformed)
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
-        np.testing.assert_array_equal(plan.execute(x), optimized.execute(x))
-
-    def test_dead_opaque_steps_are_kept(self, rng):
-        probe = nn.ReLU()
-        probe.register_forward_hook(lambda module, out: out)
-        live = self._conv_step("live", ("x",), "%live", rng)
-        dead = Step(op="opaque", name="probe", inputs=("x",), output="%probe",
-                    module=probe)
-        plan = InferencePlan(steps=[live, dead], output_register="%live")
-        assert len(run_rules(plan, (DeadNodeElimination,)).steps) == 2
+        expected = plan.execute(x, BufferCache())
+        actual = transformed.execute(x, BufferCache())
+        assert actual.dtype == expected.dtype
+        np.testing.assert_array_equal(actual, expected)
 
     def test_dequantize_quantize_chain_fuses_to_qrequantize(self, rng):
         steps = [Step(op="dequantize", name="dq", inputs=("x",), output="%f",
@@ -162,22 +209,11 @@ class TestPassesSynthetic:
                  Step(op="quantize", name="q", inputs=("%f",), output="%q",
                       attrs={"scale": 0.125})]
         plan = InferencePlan(steps=steps, output_register="%q")
-        fused = run_rules(plan, FUSION_RULES)
+        fused = run_pass("dequantize_quantize_to_requantize", plan)
         assert [step.op for step in fused.steps] == ["qrequantize"]
         codes = rng.integers(-127, 128, size=(4, 3, 5, 5)).astype(np.int8)
         np.testing.assert_array_equal(plan.execute(codes),
                                       fused.execute(codes))
-
-    def test_same_scale_requantize_quantize_collapses(self, rng):
-        steps = [Step(op="requantize", name="rq", inputs=("x",), output="%r",
-                      attrs={"scale": 0.0625}),
-                 Step(op="quantize", name="q", inputs=("%r",), output="%q",
-                      attrs={"scale": 0.0625})]
-        plan = InferencePlan(steps=steps, output_register="%q")
-        fused = run_rules(plan, FUSION_RULES)
-        assert [step.op for step in fused.steps] == ["quantize"]
-        x = (rng.standard_normal((4, 8)) * 4.0).astype(np.float32)
-        np.testing.assert_array_equal(plan.execute(x), fused.execute(x))
 
     def test_multi_use_dequantize_is_not_fused(self, rng):
         # The dequantized register feeds the add AND the plan output: folding
@@ -187,7 +223,160 @@ class TestPassesSynthetic:
                  Step(op="add", name="add", inputs=("%f", "%f"), output="%s",
                       attrs={"act": None})]
         plan = InferencePlan(steps=steps, output_register="%f")
-        assert run_rules(plan, FUSION_RULES) is plan
+        optimized = optimize_plan(plan)
+        assert not any(optimized.pass_stats.values())
+        assert structure(optimized) == structure(plan)
+
+    @pytest.mark.parametrize("second_read", ["step", "plan_output"])
+    def test_superfusion_requires_a_single_use_conv(self, second_read, rng):
+        # A projection conv whose float output is read again — by another
+        # step, or as the plan output — must stay a standalone step.
+        weight = rng.integers(-127, 128, size=(3, 3, 1, 1)).astype(np.int8)
+        conv = Step(op="qconv_dequant", name="proj", inputs=("%q",),
+                    output="%c",
+                    arrays={"weight": weight,
+                            "dequant": np.full(3, 0.01),
+                            "bias": np.zeros(3, dtype=np.float32)},
+                    attrs={"stride": 1, "padding": 0, "groups": 1,
+                           "act": None})
+        steps = [Step(op="quantize", name="q", inputs=("x",), output="%q",
+                      attrs={"scale": 0.05}),
+                 conv,
+                 Step(op="add", name="join", inputs=("%c", "x"),
+                      output="%s", attrs={"act": "relu"})]
+        single = InferencePlan(steps=list(steps), output_register="%s")
+        fused = optimize_plan(single)
+        assert [step.op for step in fused.steps] == ["quantize", "qconv_add"]
+        if second_read == "step":
+            steps.append(Step(op="add", name="again", inputs=("%s", "%c"),
+                              output="%out", attrs={"act": None}))
+            plan = InferencePlan(steps=steps, output_register="%out")
+        else:
+            plan = InferencePlan(steps=steps, output_register="%c")
+        optimized = optimize_plan(plan)
+        assert optimized.pass_stats["qconv_add_superfusion"] == 0
+        assert structure(optimized) == structure(plan)
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        for raw, transformed in ((single, fused), (plan, optimized)):
+            np.testing.assert_array_equal(raw.execute(x, BufferCache()),
+                                          transformed.execute(x, BufferCache()))
+
+
+# ---------------------------------------------------------------------------
+# Property test: random typed int8 DAGs
+# ---------------------------------------------------------------------------
+SCALES = (0.03125, 0.05, 0.125)
+
+
+def random_int8_dag(rng, channels=3, depth_range=(4, 16)):
+    """A random SSA plan over the ops the fusions rewrite.
+
+    Registers are typed: ``quantize`` reads float and writes int8 codes,
+    ``dequantize`` and ``qconv_dequant`` read codes and write float, and
+    ``requantize`` and ``add`` read and write float.  Operands favour the
+    newest register of the right type, so fusable chains are common, but any
+    earlier register can be read again (random fan-out, and ``add`` may
+    read one register at both positions).  The plan output is a random
+    step's register, so later steps may read it too.
+    """
+    registers = {"float": ["x"], "int8": []}
+    steps = []
+
+    def operand(kind):
+        pool = registers[kind]
+        if rng.random() < 0.6:
+            return pool[-1]
+        return str(rng.choice(pool))
+
+    for index in range(int(rng.integers(*depth_range))):
+        ops = ["quantize", "requantize", "add"]
+        if registers["int8"]:
+            ops += ["dequantize", "dequantize", "qconv_dequant"]
+        op = str(rng.choice(ops))
+        out = f"%{index}_{op}"
+        scale = float(rng.choice(SCALES))
+        if op in ("quantize", "requantize"):
+            step = Step(op=op, name=f"s{index}", inputs=(operand("float"),),
+                        output=out, attrs={"scale": scale})
+        elif op == "dequantize":
+            step = Step(op=op, name=f"s{index}", inputs=(operand("int8"),),
+                        output=out, attrs={"scale": scale})
+        elif op == "add":
+            step = Step(op=op, name=f"s{index}",
+                        inputs=(operand("float"), operand("float")),
+                        output=out,
+                        attrs={"act": "relu" if rng.random() < 0.5
+                               else None})
+        else:
+            weight = rng.integers(-127, 128, size=(channels, channels, 1, 1)) \
+                .astype(np.int8)
+            step = Step(op=op, name=f"s{index}", inputs=(operand("int8"),),
+                        output=out,
+                        arrays={"weight": weight,
+                                "dequant": rng.uniform(1e-3, 1e-2, channels),
+                                "bias": rng.standard_normal(channels)
+                                .astype(np.float32)},
+                        attrs={"stride": 1, "padding": 0, "groups": 1,
+                               "act": "relu" if rng.random() < 0.5 else None,
+                               "acc_bound":
+                                   kernels.conv_accumulator_bound(weight)})
+        steps.append(step)
+        registers["int8" if op == "quantize" else "float"].append(out)
+    output = str(rng.choice([step.output for step in steps]))
+    return InferencePlan(steps=steps, output_register=output,
+                         name="random-int8-dag")
+
+
+def raw_state(plan: InferencePlan):
+    """The steps and attrs dicts of ``plan``, by identity and by value."""
+    return [(id(step), step.op, step.inputs, step.output, id(step.attrs),
+             dict(step.attrs)) for step in plan.steps]
+
+
+def assert_ssa(plan: InferencePlan):
+    """Each register is defined once and read only after its definition."""
+    defined = {plan.input_register}
+    for step in plan.steps:
+        assert set(step.inputs) <= defined, f"{step.name} reads too early"
+        assert step.output not in defined, f"{step.output} defined twice"
+        defined.add(step.output)
+    assert plan.output_register in defined
+
+
+def assert_only_single_use_feeders_absorbed(plan: InferencePlan,
+                                            optimized: InferencePlan):
+    """Only feeders read exactly once, and not as the plan output, vanish."""
+    reads = Counter(register for step in plan.steps
+                    for register in step.inputs)
+    kept = {step.output for step in optimized.steps}
+    for step in plan.steps:
+        if step.output not in kept:
+            assert reads[step.output] == 1, step
+            assert step.output != plan.output_register, step
+
+
+class TestRandomInt8DagProperty:
+    def test_fusions_keep_ssa_bits_and_single_use(self, rng):
+        applied = Counter()
+        for trial in range(60):
+            plan = random_int8_dag(rng)
+            before = raw_state(plan)
+            optimized = optimize_plan(plan)
+            applied.update(optimized.pass_stats)
+
+            assert optimized.output_register == plan.output_register
+            assert_ssa(optimized)
+            # The raw plan is untouched: same steps, same attrs dicts.
+            assert raw_state(plan) == before
+            assert_only_single_use_feeders_absorbed(plan, optimized)
+
+            x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+            expected = plan.execute(x, BufferCache())
+            actual = optimized.execute(x, BufferCache())
+            assert actual.dtype == expected.dtype
+            np.testing.assert_array_equal(actual, expected)
+        # Every fusion fired somewhere, so each one was put to the test.
+        assert all(applied[name] > 0 for name in FUSIONS), applied
 
 
 class TestInt8Fusion:
@@ -224,10 +413,18 @@ class TestInt8Fusion:
         plan = optimize_plan(compile_backbone(model.backbone, mode="int8"))
         assert optimize_plan(plan) is plan
 
+    def test_reoptimization_is_structurally_identical(self, int8_case):
+        model, _ = int8_case
+        once = optimize_plan(compile_backbone(model.backbone, mode="int8"))
+        # Clear the short-circuit flag: the fusions themselves must be
+        # idempotent, not only guarded by `plan.optimized`.
+        twice = optimize_plan(dataclasses.replace(once, optimized=False))
+        assert structure(twice) == structure(once)
+
     def test_optimized_step_counts_are_pinned(self, int8_case):
         # The recorded step counts per family: regressions here mean a
-        # rewrite rule stopped firing.  CI additionally gates the MobileNetV2
-        # count through ``plan_stats --assert-max-steps``.
+        # fusion stopped firing.  CI additionally gates these counts (and
+        # ResNet-12's) through ``plan_stats --assert-max-steps``.
         model, _ = int8_case
         optimized = optimize_plan(compile_backbone(model.backbone,
                                                    mode="int8"))
@@ -237,11 +434,27 @@ class TestInt8Fusion:
         assert len(optimized.steps) < 35
         assert optimized.pass_stats.get("qconv_add_superfusion", 0) >= 3
 
+    def test_resnet12_block_requantization_is_pinned(self, rng):
+        # The plan the CI gate builds: ResNet-12's block-output requantize
+        # pairs are the one real use of dequantize_quantize_to_requantize.
+        model = _build_model("resnet12_tiny", "int8")
+        plan = compile_backbone(model.backbone, mode="int8")
+        optimized = optimize_plan(plan)
+        assert len(optimized.steps) == 25
+        assert [step.op for step in optimized.steps].count("qrequantize") \
+            == 2
+        assert optimized.pass_stats["dequantize_quantize_to_requantize"] == 2
+        images = rng.standard_normal((6, 3, 16, 16)).astype(np.float32)
+        np.testing.assert_array_equal(
+            InferenceEngine(plan).run(images),
+            InferenceEngine(plan, optimize=False).run(images))
+
     def test_optimized_plan_records_pass_stats(self, int8_case):
         model, _ = int8_case
         optimized = optimize_plan(compile_backbone(model.backbone,
                                                    mode="int8"))
         stats = optimized.pass_stats
+        assert list(stats) == list(FUSIONS)
         assert stats["dequantize_into_add"] >= 3
         assert stats["add_quantize_fusion"] >= 3
         assert sum(stats.values()) > 0
@@ -267,6 +480,83 @@ class TestInt8Fusion:
         np.testing.assert_array_equal(engine.run(golden["images"]),
                                       golden["theta_a"])
         assert engine.memory_plan is not None
+
+
+# ---------------------------------------------------------------------------
+# Every plan the registry builds
+# ---------------------------------------------------------------------------
+MOBILENETV2_INT8 = (56, {"dequantize_into_add": 10, "add_quantize_fusion": 10,
+                         "qconv_add_superfusion": 10})
+MOBILENETV2_TINY_INT8 = (32, {"dequantize_into_add": 3,
+                              "add_quantize_fusion": 3,
+                              "qconv_add_superfusion": 3})
+RESNET12_INT8 = (25, {"add_quantize_fusion": 4,
+                      "dequantize_quantize_to_requantize": 2,
+                      "qconv_add_superfusion": 4})
+
+#: What ``optimize_plan`` makes of each registry backbone's int8 backbone
+#: plan: (optimized step count, non-zero fusion counts).  Float32 plans and
+#: every FCR plan have nothing to fuse and come back step for step.
+INT8_BACKBONE_PINS = {
+    "mobilenetv2": MOBILENETV2_INT8,
+    "mobilenetv2_tiny": MOBILENETV2_TINY_INT8,
+    "mobilenetv2_x2": MOBILENETV2_INT8,
+    "mobilenetv2_x4": MOBILENETV2_INT8,
+    "mobilenetv2_x4_tiny": MOBILENETV2_TINY_INT8,
+    "resnet12": RESNET12_INT8,
+    "resnet12_tiny": RESNET12_INT8,
+    "resnet20": (24, {"dequantize_into_add": 7, "add_quantize_fusion": 9,
+                      "qconv_add_superfusion": 9}),
+    "resnet20_tiny": (18, {"dequantize_into_add": 4, "add_quantize_fusion": 6,
+                           "qconv_add_superfusion": 6}),
+}
+
+#: The plans non-test code builds: every registry backbone's backbone and
+#: FCR plan in both modes, ordered so each model is built once.
+REGISTRY_PLANS = [(backbone, mode, part) for backbone in list_configs()
+                  for mode in MODES for part in ("backbone", "fcr")]
+
+
+@functools.lru_cache(maxsize=1)
+def registry_raw_plans(backbone: str, mode: str):
+    """The raw backbone and FCR plans of the model ``plan_stats`` builds."""
+    model = _build_model(backbone, mode)
+    return {"backbone": compile_backbone(model.backbone, mode=mode),
+            "fcr": compile_module(model.fcr, "fcr", mode=mode)}
+
+
+class TestRegistryPlans:
+    def test_every_registry_backbone_is_pinned(self):
+        assert sorted(INT8_BACKBONE_PINS) == list_configs()
+
+    @pytest.mark.parametrize("backbone,mode,part", REGISTRY_PLANS)
+    def test_fusions_are_pinned_and_bit_exact(self, backbone, mode, part,
+                                              rng):
+        plans = registry_raw_plans(backbone, mode)
+        raw = plans[part]
+        before = raw_state(raw)
+        optimized = optimize_plan(raw)
+        assert raw_state(raw) == before
+        assert optimized.output_register == raw.output_register
+        applied = {name: count for name, count
+                   in optimized.pass_stats.items() if count}
+        if mode == "int8" and part == "backbone":
+            assert (len(optimized.steps), applied) == \
+                INT8_BACKBONE_PINS[backbone]
+        else:
+            assert applied == {}
+            assert [id(step) for step in optimized.steps] == \
+                [id(step) for step in raw.steps]
+        assert_ssa(optimized)
+        assert_only_single_use_feeders_absorbed(raw, optimized)
+
+        images = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+        if part == "fcr":
+            images = InferenceEngine(plans["backbone"],
+                                     optimize=False).run(images)
+        np.testing.assert_array_equal(
+            InferenceEngine(optimized, optimize=False).run(images),
+            InferenceEngine(raw, optimize=False).run(images))
 
 
 # ---------------------------------------------------------------------------
@@ -862,3 +1152,88 @@ class TestSnapshotCarriesArena:
         assert stats["arena_peak_bytes"] > 0
         assert stats["arena_peak_bytes"] < stats["arena_unplanned_bytes"]
         assert stats["samples_served"] >= 8
+
+
+# ---------------------------------------------------------------------------
+# Predictor engine staleness and snapshot round trip
+# ---------------------------------------------------------------------------
+def predictor_model(mode: str):
+    if mode == "int8":
+        model, _ = build_quantized_model(BACKBONE)
+        return model
+    return OFSCIL.from_registry(BACKBONE, OFSCILConfig(backbone=BACKBONE),
+                                seed=0)
+
+
+class TestPredictorEngines:
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_unchanged_model_reuses_the_engines(self, mode):
+        predictor = BatchedPredictor(predictor_model(mode), mode=mode)
+        backbone, fcr = predictor.backbone_engine, predictor.fcr_engine
+        for _ in range(3):
+            assert predictor.backbone_engine is backbone
+            assert predictor.fcr_engine is fcr
+
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_bit_identical_rebind_rebuilds_the_engine(self, mode):
+        model = predictor_model(mode)
+        predictor = BatchedPredictor(model, mode=mode)
+        backbone, fcr = predictor.backbone_engine, predictor.fcr_engine
+        parameter = list(model.backbone.parameters())[0]
+        # Rebind to a bit-identical copy: the contents cannot change any
+        # output, but the identity-based staleness signature must notice.
+        parameter.data = parameter.data.copy()
+        assert predictor.backbone_engine is not backbone
+        assert predictor.fcr_engine is fcr
+        # The int8 FCR plan freezes quantized weights, so a rebind rebuilds
+        # it; the float FCR reads the live module and keeps its engine.
+        linear = model.fcr.linear
+        linear.weight.data = linear.weight.data.copy()
+        assert (predictor.fcr_engine is not fcr) == (mode == "int8")
+
+    def test_quantizer_recalibration_rebuilds_the_int8_engine(self):
+        # The int8 lowering bakes quantizer thresholds into the plan: a new
+        # threshold with the same weights and hooks must read as stale.
+        model = predictor_model("int8")
+        predictor = BatchedPredictor(model, mode="int8")
+        backbone = predictor.backbone_engine
+        quantizer = model.backbone.input_quantizer
+        quantizer.threshold = quantizer.threshold * 2
+        assert predictor.backbone_engine is not backbone
+
+    def test_snapshot_round_trip_restores_bit_for_bit(self, int8_case):
+        model, golden = int8_case
+        predictor = model.runtime_predictor()
+        reference = predictor.extract_backbone_features(golden["images"])
+        snapshot = snapshot_model(model)
+        assert snapshot.backbone.optimized
+        assert snapshot.backbone.pass_stats            # stats ride along
+        restored = snapshot.backbone.restore()
+        assert restored.pass_stats == snapshot.backbone.pass_stats
+        engine = InferenceEngine(
+            restored, memory_plan=snapshot.backbone.restore_memory_plan(),
+            micro_batch=snapshot.micro_batch)
+        np.testing.assert_array_equal(engine.run(golden["images"]),
+                                      reference)
+
+
+# ---------------------------------------------------------------------------
+# plan_stats command line
+# ---------------------------------------------------------------------------
+class TestPlanStats:
+    def test_plan_stats_step_gate(self, capsys):
+        assert plan_stats_main(["mobilenetv2_x4_tiny", "float32",
+                                "--assert-max-steps", "1"]) == 1
+        assert plan_stats_main(["mobilenetv2_x4_tiny", "float32",
+                                "--assert-max-steps", "500"]) == 0
+        assert plan_stats_main(["--assert-max-steps"]) == 2
+
+    def test_mistyped_arguments_exit_2(self, capsys):
+        # A typo in a CI gate must fail the step, not switch the gate off.
+        for argv in (["mobilenetv2_x4_tiny", "int8", "--assert-max-step",
+                      "1"],
+                     ["mobilenetv2_x4_tiny", "fp16"],
+                     ["mobilenetv2_x4_tiny", "int8", "--dot"]):
+            assert plan_stats_main(argv) == 2
+        assert "unrecognized arguments: --assert-max-step" in \
+            capsys.readouterr().err
