@@ -16,11 +16,13 @@ per step; profiling is strictly opt-in (``plan_stats --profile``, or
 
 The profile surfaces as a per-op table (:meth:`PlanProfiler.table`): one row
 per plan step in execution order, named relative to its plan (e.g.
-``blocks.3.dw``), plus an aggregate per op kind — the baseline any
-native-kernel backend has to beat, kernel by kernel.  The kind is the op,
+``blocks.3.dw``), plus an aggregate per op kind.  The kind is the op,
 except that convolutions the depthwise kernel runs (one input channel per
 group, see :attr:`Step.kind <repro.runtime.plan.Step.kind>`) aggregate as
-``depthwise``, apart from the GEMM convolutions.
+``depthwise``, apart from the GEMM convolutions.  Those depthwise steps and
+the int8 conv epilogues run in the C kernels of :mod:`repro.runtime.native`
+when that library loads and in NumPy when it does not, so the table times
+whichever path ran; ``plan_stats`` prints which one (``native_kernels``).
 """
 
 from __future__ import annotations

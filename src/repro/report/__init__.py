@@ -4,6 +4,7 @@ from .bench import (
     DEFAULT_HISTORY_LIMIT,
     append_bench_record,
     append_keyed_bench_record,
+    host_record,
     load_bench,
     load_keyed_bench,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "append_keyed_bench_record",
     "load_bench",
     "load_keyed_bench",
+    "host_record",
     "DEFAULT_HISTORY_LIMIT",
     "format_table",
     "dict_rows_to_table",

@@ -17,7 +17,9 @@ the old record becomes the first history entry.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 from pathlib import Path
 from typing import Optional
 
@@ -116,3 +118,42 @@ def append_keyed_bench_record(path, key: str, record: dict,
     entry["latest"] = record
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
     return data
+
+
+def blas_threads() -> Optional[int]:
+    """Thread count of the OpenBLAS NumPy loaded, or None if not found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads"):
+            function = getattr(library, symbol, None)
+            if function is not None:
+                function.argtypes = []
+                function.restype = ctypes.c_int
+                return int(function())
+    return None
+
+
+def host_record() -> dict:
+    """The host's usable cores and BLAS threads, for a bench record.
+
+    A throughput ratio means little without the parallelism it ran with.
+    ``perfbench/run.py`` records the same two numbers through its own copy
+    of :func:`blas_threads`.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cores = os.cpu_count()
+    return {"cores": cores, "blas_threads": blas_threads()}

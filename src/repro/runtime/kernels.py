@@ -13,11 +13,11 @@ wrappers, no autograd bookkeeping.  Four ideas keep them fast:
 * **batched GEMM** — dense and pointwise convolutions are expressed as
   ``matmul`` over the whole micro-batch, hitting BLAS instead of Python
   loops;
-* **channels-last depthwise taps** — depthwise convolutions skip im2col and
-  multiply-accumulate their taps over a channels-last copy of the padded
-  input, with each tap's weights tiled to a full ``(out_w, c)`` row, so
-  every NumPy pass runs a long contiguous inner loop (``out_w * c``
-  elements at stride 1) instead of one ``out_w``-wide NCHW window row.
+* **C where NumPy is slow** — the depthwise tap loop and the int8
+  requantize/dequantize epilogues after the conv GEMM run in the C kernels
+  of :mod:`repro.runtime.native` when that library loads.  The NumPy code
+  beside each call is the fallback and the reference: both give the same
+  bits.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..nn.conv import conv_output_size
+from . import native
 
 #: Supported fused activations (applied in place on the layer output).
 ACTIVATIONS = (None, "relu", "relu6")
@@ -202,33 +203,6 @@ def im2col_cached(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     return cols.reshape(n, c, kh * kw, out_h * out_w)
 
 
-def pad_channels_last(x: np.ndarray, padding: int,
-                      cache: Optional[BufferCache] = None) -> np.ndarray:
-    """Zero-pad NCHW ``x`` into a channels-last ``(n, h+2p, w+2p, c)`` buffer.
-
-    One transposing copy writes the interior.  As in :func:`pad_cached`, the
-    halo ring is rezeroed on every call because layers with equal padded
-    shapes but different ``(h, padding)`` splits share the cached buffer:
-    rows ``[0, p)`` and ``[h+p, h+2p)`` at full width, columns ``[0, p)``
-    and ``[w+p, w+2p)`` of the middle rows, plus the interior, cover every
-    element (pinned by the poisoning test in
-    ``tests/test_runtime_depthwise.py``).
-    """
-    n, c, h, w = x.shape
-    padded_shape = (n, h + 2 * padding, w + 2 * padding, c)
-    if cache is not None:
-        padded = cache.get("dwpad", padded_shape, x.dtype)
-        padded[:, :padding] = 0
-        padded[:, h + padding:] = 0
-        padded[:, padding:h + padding, :padding] = 0
-        padded[:, padding:h + padding, w + padding:] = 0
-    else:
-        padded = np.zeros(padded_shape, dtype=x.dtype)
-    padded[:, padding:padding + h, padding:padding + w] = \
-        x.transpose(0, 2, 3, 1)
-    return padded
-
-
 def is_depthwise(weight: np.ndarray, groups: int) -> bool:
     """True when a conv with ``weight`` and ``groups`` runs the depthwise path.
 
@@ -242,24 +216,15 @@ def is_depthwise(weight: np.ndarray, groups: int) -> bool:
 def depthwise_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1,
                    padding: int = 0, cache: Optional[BufferCache] = None,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Depthwise 2-D convolution without im2col, run channels-last.
+    """Depthwise 2-D convolution without im2col: the NumPy tap loop.
 
     A depthwise kernel uses each column of the ``C*kh*kw`` im2col matrix for
     exactly one output channel — materialising it is an O(k²) waste.  This
-    fast path multiply-accumulates the ``kh*kw`` taps of a zero-copy window
-    view instead: the tap ``(0, 0)`` product first, then each further tap's
-    product added in row-major tap order.
-
-    The taps run over a channels-last copy of the padded input, so each
-    NumPy pass iterates ``out_w * c`` contiguous elements (stride 1) or
-    ``c`` (stride 2) instead of the ``out_w`` an NCHW window row offers.
-    Each tap's per-channel weights are tiled into an ``(out_w, c)`` row
-    first: a broadcast ``(c,)`` vector has a zero stride along ``out_w``,
-    which stops NumPy from merging that axis with the channels.  The sum
-    accumulates in a cached channels-last buffer, each product is staged in
-    ``out``'s own memory (overwritten only by the final transposing copy),
-    so the kernel caches no more bytes than the padded input and one
-    output-sized accumulator.
+    path multiply-accumulates the ``kh*kw`` taps of a zero-copy window view
+    instead: the tap ``(0, 0)`` product first, then each further tap's
+    product added in row-major tap order.  The C kernels in
+    :mod:`repro.runtime.native` keep that order, and the tests use this loop
+    as their oracle.
 
     ``weight`` is ``(c, 1, kh, kw)`` *already cast to the accumulation
     dtype*: float32 for the float path, the exact-GEMM dtype for the int8
@@ -271,28 +236,19 @@ def depthwise_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1,
     kh, kw = weight.shape[2], weight.shape[3]
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    padded = pad_channels_last(x, padding, cache)
-    sn, sh, sw, sc = padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        padded, shape=(n, kh, kw, out_h, out_w, c),
-        strides=(sn, sh, sw, sh * stride, sw * stride, sc), writeable=False)
-    acc_shape = (n, out_h, out_w, c)
-    acc = cache.get("dwacc", acc_shape, weight.dtype) if cache is not None \
-        else np.empty(acc_shape, dtype=weight.dtype)
-    rows = np.empty((kh * kw, out_w, c), dtype=weight.dtype)
-    rows[...] = weight.reshape(c, kh * kw).T[:, None, :]
+    if padding > 0:
+        x = pad_cached(x, padding, cache)
+    view = sliding_window_view(x, kh, kw, stride)
+    taps = weight.reshape(c, kh, kw)
     if out is None:
         out = np.empty((n, c, out_h, out_w), dtype=weight.dtype)
-    np.multiply(view[:, 0, 0], rows[0], out=acc)
-    if kh * kw > 1:
-        if out.flags.c_contiguous:
-            product = out.reshape(acc_shape)
-        else:
-            product = np.empty_like(acc)
-        for tap in range(1, kh * kw):
-            np.multiply(view[:, tap // kw, tap % kw], rows[tap], out=product)
-            acc += product
-    np.copyto(out, acc.transpose(0, 3, 1, 2))
+    np.multiply(view[:, :, 0, 0], taps[:, 0, 0].reshape(1, c, 1, 1), out=out)
+    product = np.empty(out.shape, dtype=out.dtype)
+    for tap in range(1, kh * kw):
+        i, j = divmod(tap, kw)
+        np.multiply(view[:, :, i, j], taps[:, i, j].reshape(1, c, 1, 1),
+                    out=product)
+        out += product
     return out
 
 
@@ -329,6 +285,9 @@ def fused_conv(x: np.ndarray, weight: np.ndarray,
     if pointwise:
         np.matmul(weight.reshape(out_c, c), x.reshape(n, c, spatial), out=dest)
     elif depthwise:
+        if native.depthwise_f32(x, weight, bias, stride, padding, act, cache,
+                                dest):
+            return dest.reshape(n, out_c, out_h, out_w)
         depthwise_conv(x, weight, stride=stride, padding=padding, cache=cache,
                        out=dest.reshape(n, out_c, out_h, out_w))
     elif groups == 1:
@@ -576,6 +535,17 @@ def _cast_cached(x: np.ndarray, dtype, tag: str,
     return out
 
 
+def _conv_acc_dtype(weight_q: np.ndarray, acc_bound: Optional[int]):
+    """Exact-GEMM dtype of an int8 conv; OverflowError past the int32 range."""
+    bound = acc_bound if acc_bound is not None \
+        else conv_accumulator_bound(weight_q)
+    if bound > INT32_ACC_LIMIT:
+        raise OverflowError(
+            f"int8 conv accumulator bound {bound} exceeds the int32 range; "
+            f"the layer cannot run on 32-bit accumulators")
+    return _acc_dtype(bound)
+
+
 def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
                         padding: int = 0, groups: int = 1,
                         cache: Optional[BufferCache] = None,
@@ -594,13 +564,7 @@ def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
         raise ValueError(
             f"input channels ({c}) incompatible with weight {weight_q.shape} "
             f"and groups={groups}")
-    bound = acc_bound if acc_bound is not None \
-        else conv_accumulator_bound(weight_q)
-    if bound > INT32_ACC_LIMIT:
-        raise OverflowError(
-            f"int8 conv accumulator bound {bound} exceeds the int32 range; "
-            f"the layer cannot run on 32-bit accumulators")
-    dtype = _acc_dtype(bound)
+    dtype = _conv_acc_dtype(weight_q, acc_bound)
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
     spatial = out_h * out_w
@@ -648,26 +612,32 @@ def fused_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
     ``acc = conv_int32(q, weight_q) + bias_q`` followed by the per-channel
     rescale ``clip(round(acc * multiplier), qmin, qmax)`` back to int8, with
     the activation expressed through the clamp bounds (``qmin=0`` for ReLU,
-    ``qmax=round(6/scale)`` capped at 127 for ReLU6).
+    ``qmax=round(6/scale)`` capped at 127 for ReLU6).  With float32
+    accumulators the C kernels run the depthwise conv and the epilogue.
     """
     n = q.shape[0]
-    out_c = weight_q.shape[0]
+    out_c, _, kh, kw = weight_q.shape
+    out_h = conv_output_size(q.shape[2], kh, stride, padding)
+    out_w = conv_output_size(q.shape[3], kw, stride, padding)
+    if out is None:
+        out = np.empty((n, out_c, out_h, out_w), dtype=np.int8)
+    codes = out.reshape(n, out_c, out_h * out_w)
+    if is_depthwise(weight_q, groups) \
+            and _conv_acc_dtype(weight_q, acc_bound) == np.float32 \
+            and native.depthwise_s8(q, weight_q, bias_q, multiplier, stride,
+                                    padding, qmin, qmax, cache, codes):
+        return codes.reshape(n, out_c, out_h, out_w)
     acc = int_accumulate_conv(q, weight_q, stride=stride, padding=padding,
                               groups=groups, cache=cache, acc_bound=acc_bound)
+    if native.requantize(acc, bias_q, multiplier, qmin, qmax, codes):
+        return codes.reshape(n, out_c, out_h, out_w)
     acc += bias_q.astype(acc.dtype).reshape(1, out_c, 1)
     # float32 * float64 promotes each product to float64 exactly — no
     # explicit astype copy needed on the hot path.
     scaled = acc * multiplier.reshape(1, out_c, 1)
     np.rint(scaled, out=scaled)
     np.clip(scaled, qmin, qmax, out=scaled)
-    kh, kw = weight_q.shape[2], weight_q.shape[3]
-    out_h = conv_output_size(q.shape[2], kh, stride, padding)
-    out_w = conv_output_size(q.shape[3], kw, stride, padding)
-    if out is None:
-        codes = scaled.astype(np.int8)
-    else:
-        codes = out.reshape(n, out_c, out_h * out_w)
-        np.copyto(codes, scaled, casting="unsafe")
+    np.copyto(codes, scaled, casting="unsafe")
     return codes.reshape(n, out_c, out_h, out_w)
 
 
@@ -683,7 +653,8 @@ def fused_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
     Used where the plan has no calibrated output range (e.g. the projection
     convolution feeding a residual add): the int32 accumulator is mapped back
     to float via the per-channel ``dequant = s_in * s_w[c]`` factors and the
-    float bias is added on top.
+    float bias is added on top.  With float32 accumulators the epilogue runs
+    in C.
     """
     n = q.shape[0]
     out_c = weight_q.shape[0]
@@ -692,12 +663,13 @@ def fused_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
     kh, kw = weight_q.shape[2], weight_q.shape[3]
     out_h = conv_output_size(q.shape[2], kh, stride, padding)
     out_w = conv_output_size(q.shape[3], kw, stride, padding)
-    scaled = acc * dequant.reshape(1, out_c, 1)
     if out is None:
-        dest = scaled.astype(np.float32)
-    else:
-        dest = out.reshape(n, out_c, out_h * out_w)
-        np.copyto(dest, scaled, casting="unsafe")
+        out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
+    dest = out.reshape(n, out_c, out_h * out_w)
+    if native.dequantize(acc, dequant, bias, act, dest):
+        return dest.reshape(n, out_c, out_h, out_w)
+    scaled = acc * dequant.reshape(1, out_c, 1)
+    np.copyto(dest, scaled, casting="unsafe")
     if bias is not None:
         dest += bias.reshape(1, out_c, 1)
     apply_activation(dest, act)

@@ -7,7 +7,9 @@ every push, not only when a perf floor finally trips.  The report includes
 each fusion's application count (``pass.<fusion>`` lines, from the
 optimized plan's ``pass_stats``) and ``compile_cold_ms``, the wall time of
 compiling and optimizing the backbone and FCR of a fresh predictor — the
-guard against cold-compile regressions.
+guard against cold-compile regressions.  ``native_kernels`` says whether
+the C kernels of :mod:`repro.runtime.native` ran the plan (``yes``) or the
+NumPy fallback did (``no``).
 
 ``python -m repro.runtime.plan_stats <backbone> int8`` reports the integer
 plan instead: the model is put through the deterministic PTQ recipe (seeded
@@ -68,8 +70,11 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
                mode: str = "float32", profile: bool = False) -> dict:
     """Compile the backbone, serve one batch, and report plan/arena stats."""
     from ..models import get_config
+    from . import native
     from .predictor import BatchedPredictor
 
+    # Load (or build) the C kernels before anything is timed or profiled.
+    native_kernels = "yes" if native.available() else "no"
     model = _build_model(backbone, mode)
     run_mode = getattr(model.config, "runtime_mode", mode)
     started = time.perf_counter()
@@ -100,6 +105,7 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
         "micro_batch": engine.micro_batch,
         "num_threads": engine.num_threads,
         "compile_cold_ms": round(compile_cold_ms, 2),
+        "native_kernels": native_kernels,
     }
     for fusion, count in sorted(plan.pass_stats.items()):
         stats[f"pass.{fusion}"] = count

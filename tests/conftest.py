@@ -19,6 +19,7 @@ from repro.core import (
     pretrain,
 )
 from repro.data import build_synthetic_fscil
+from repro.runtime import native
 
 TEST_BACKBONE = "mobilenetv2_x4_tiny"
 
@@ -26,6 +27,16 @@ TEST_BACKBONE = "mobilenetv2_x4_tiny"
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def c_kernels():
+    """Skip unless the C kernels of ``repro.runtime.native`` are loaded.
+
+    ``tests/test_runtime_native.py`` fails instead where a compiler exists.
+    """
+    if not native.available():
+        pytest.skip(f"C kernels not loaded: {native.build_error}")
 
 
 @pytest.fixture(scope="session")

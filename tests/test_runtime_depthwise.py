@@ -1,11 +1,12 @@
-"""The channels-last depthwise kernel reproduces the NCHW tap loop bit for bit.
+"""The C depthwise kernels reproduce the NumPy tap loop bit for bit.
 
-``kernels.depthwise_conv`` runs its tap loop over a channels-last copy of
-the padded input.  It keeps the per-element arithmetic of the NCHW loop it
-replaced — the tap ``(0, 0)`` product first, then each further tap's product
-added in row-major tap order — so float32 outputs are bit-identical (signed
-zeros included) and int8 accumulations stay exact.  ``_depthwise_reference``
-below is that NCHW loop, kept as the oracle.
+``kernels.depthwise_conv`` is the NCHW tap loop over a window view: the tap
+``(0, 0)`` product first, then each further tap's product added in
+row-major tap order.  It is the fallback when the C library of
+:mod:`repro.runtime.native` is not loaded, and the oracle here: the C
+kernels keep its per-element arithmetic and that of the NumPy epilogues
+(bias + activation for float32, requantization for int8), so outputs are
+bit-identical, signed zeros included.
 """
 
 import numpy as np
@@ -13,30 +14,7 @@ import pytest
 
 from repro.nn.conv import conv_output_size
 from repro.runtime import BufferCache
-from repro.runtime import kernels
-
-
-def _depthwise_reference(x, weight, stride=1, padding=0):
-    """The NCHW tap loop: multiply-accumulate over the window view."""
-    n, c, h, w = x.shape
-    kh, kw = weight.shape[2], weight.shape[3]
-    if padding > 0:
-        x = kernels.pad_cached(x, padding)
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    view = kernels.sliding_window_view(x, kh, kw, stride)
-    taps = weight.reshape(c, kh, kw)
-    out = np.empty((n, c, out_h, out_w), dtype=weight.dtype)
-    np.multiply(view[:, :, 0, 0], taps[:, 0, 0].reshape(1, c, 1, 1), out=out)
-    scratch = np.empty_like(out)
-    for i in range(kh):
-        for j in range(kw):
-            if i == 0 and j == 0:
-                continue
-            np.multiply(view[:, :, i, j], taps[:, i, j].reshape(1, c, 1, 1),
-                        out=scratch)
-            out += scratch
-    return out
+from repro.runtime import kernels, native
 
 
 def _bits(array):
@@ -97,48 +75,120 @@ def _operands(rng, batch, c, h, w, k, in_dtype, acc_dtype):
     return x, weight
 
 
-@pytest.mark.parametrize("mode", list(MODES))
+def _float_oracle(x, weight, bias, stride, padding, act):
+    """NCHW tap loop, then ``fused_conv``'s NumPy bias + activation."""
+    out = kernels.depthwise_conv(x, weight, stride, padding)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return kernels.apply_activation(out, act)
+
+
+def _int8_oracle(q, weight_q, bias_q, multiplier, stride, padding, qmin,
+                 qmax):
+    """Exact float32 tap loop, then ``fused_qconv``'s NumPy requantization."""
+    acc = kernels.depthwise_conv(q, weight_q.astype(np.float32), stride,
+                                 padding)
+    acc += bias_q.astype(np.float32).reshape(1, -1, 1, 1)
+    scaled = np.rint(acc * multiplier.reshape(1, -1, 1, 1))
+    return np.clip(scaled, qmin, qmax).astype(np.int8)
+
+
+def _int8_layer(rng, c):
+    """Bias codes and multipliers of a plausible requantized layer."""
+    bias_q = rng.integers(-3000, 3000, c).astype(np.int32)
+    multiplier = rng.uniform(2e-4, 2e-3, c)
+    multiplier[::3] = 0.5                 # exact .5 ties on odd accumulators
+    return bias_q, multiplier
+
+
+#: (qmin, qmax) clamps of the two fused activations (ReLU, and ReLU6 at an
+#: output scale of 6/90).
+INT8_CLAMPS = {"relu": (0, 127), "relu6": (0, 90)}
+
+
+@pytest.mark.parametrize("kernel", ["float32", "int8"])
 @pytest.mark.parametrize("case", list(CASES))
-def test_channels_last_kernel_is_bit_identical_to_the_nchw_loop(case, mode):
+def test_c_depthwise_is_bit_identical_to_the_numpy_step(case, kernel,
+                                                       c_kernels):
     c, h, w, k, stride, padding = CASES[case]
-    in_dtype, acc_dtype = MODES[mode]
-    rng = np.random.default_rng(sum(map(ord, case + mode)))
+    rng = np.random.default_rng(sum(map(ord, case + kernel)))
     out_h = conv_output_size(h, k, stride, padding)
     out_w = conv_output_size(w, k, stride, padding)
     cache = BufferCache()
     for batch in (1, 7):
-        x, weight = _operands(rng, batch, c, h, w, k, in_dtype, acc_dtype)
-        expected = _depthwise_reference(x, weight, stride, padding)
-        assert expected.dtype == acc_dtype
         shape = (batch, c, out_h, out_w)
-        contiguous = np.full(shape, np.nan, dtype=acc_dtype)
-        strided = np.full(shape[:3] + (2 * out_w,), np.nan,
-                          dtype=acc_dtype)[..., ::2]
+        if kernel == "float32":
+            x, weight = _operands(rng, batch, c, h, w, k, np.float32,
+                                  np.float32)
+            bias = rng.standard_normal(c).astype(np.float32)
+            bias[0] = -0.0          # channel 0 stays -0.0 past the bias add
+            for with_bias in (False, True):
+                for act in kernels.ACTIVATIONS:
+                    b = bias if with_bias else None
+                    expected = _float_oracle(x, weight, b, stride, padding,
+                                             act)
+                    actual = np.full(shape, np.nan, dtype=np.float32)
+                    assert native.depthwise_f32(x, weight, b, stride,
+                                                padding, act, cache, actual)
+                    np.testing.assert_array_equal(
+                        _bits(actual), _bits(expected),
+                        err_msg=f"batch={batch} bias={with_bias} act={act}")
+        else:
+            q, weight = _operands(rng, batch, c, h, w, k, np.int8, np.int8)
+            bias_q, multiplier = _int8_layer(rng, c)
+            for act, (qmin, qmax) in INT8_CLAMPS.items():
+                expected = _int8_oracle(q, weight, bias_q, multiplier,
+                                        stride, padding, qmin, qmax)
+                actual = np.full(shape, 113, dtype=np.int8)
+                assert native.depthwise_s8(q, weight, bias_q, multiplier,
+                                           stride, padding, qmin, qmax,
+                                           cache, actual)
+                np.testing.assert_array_equal(
+                    actual, expected, err_msg=f"batch={batch} act={act}")
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("case", list(CASES))
+def test_numpy_depthwise_writes_into_out_and_cache(case, mode):
+    # The fallback's ``out=`` (contiguous or strided) and cached-padding
+    # paths compute the same bits as a plain call.
+    c, h, w, k, stride, padding = CASES[case]
+    in_dtype, acc_dtype = MODES[mode]
+    rng = np.random.default_rng(sum(map(ord, case + mode)))
+    cache = BufferCache()
+    for batch in (1, 7):
+        x, weight = _operands(rng, batch, c, h, w, k, in_dtype, acc_dtype)
+        expected = kernels.depthwise_conv(x, weight, stride, padding)
+        assert expected.dtype == acc_dtype
+        contiguous = np.full(expected.shape, np.nan, dtype=acc_dtype)
+        strided = np.full(expected.shape[:3] + (2 * expected.shape[3],),
+                          np.nan, dtype=acc_dtype)[..., ::2]
         assert not strided.flags.c_contiguous
         for buffers in (None, cache):
             for label, out in (("none", None), ("contiguous", contiguous),
                                ("strided", strided)):
-                actual = kernels.depthwise_conv(x, weight, stride=stride,
-                                                padding=padding,
+                actual = kernels.depthwise_conv(x, weight, stride, padding,
                                                 cache=buffers, out=out)
                 if out is not None:
                     assert actual is out
-                assert actual.dtype == acc_dtype and actual.shape == shape
+                assert actual.dtype == acc_dtype
                 np.testing.assert_array_equal(
                     _bits(actual), _bits(expected),
                     err_msg=f"batch={batch} cache={buffers is not None} "
                             f"out={label}")
 
 
-def test_fused_conv_depthwise_matches_the_reference_bits(rng):
-    # The float epilogue (bias + relu6) runs on the kernel's output in
-    # place, so the fused step inherits the kernel's bit-equality.
+@pytest.mark.parametrize("native_on", [True, False], ids=["c", "numpy"])
+def test_fused_conv_depthwise_matches_the_reference_bits(rng, native_on,
+                                                         monkeypatch):
+    # The fused step dispatches to the C kernel when it is loaded and to
+    # the NumPy tap loop + in-place epilogue otherwise: the same bits.
+    if not native_on:
+        monkeypatch.setattr(native, "_library", False)
     x = rng.standard_normal((5, 24, 8, 8)).astype(np.float32)
     weight = rng.standard_normal((24, 1, 3, 3)).astype(np.float32)
     bias = rng.standard_normal(24).astype(np.float32)
-    expected = _depthwise_reference(x, weight, stride=2, padding=1)
-    expected += bias.reshape(1, 24, 1, 1)
-    np.clip(expected, 0.0, 6.0, out=expected)
+    expected = _float_oracle(x, weight, bias, 2, 1, "relu6")
     actual = kernels.fused_conv(x, weight, bias, stride=2, padding=1,
                                 groups=24, act="relu6", cache=BufferCache())
     np.testing.assert_array_equal(_bits(actual), _bits(expected))
@@ -150,34 +200,34 @@ def _poison(cache):
         buffer[...] = np.nan if buffer.dtype.kind == "f" else 113
 
 
-def test_channels_last_pad_reuse_survives_poisoning(rng):
-    # Layers with one padded shape but different (h, padding) splits share
-    # the cached channels-last pad buffer.  Every cached buffer is poisoned
-    # before each call, so any element of the delta region between the old
-    # and new halo that the kernel fails to rewrite surfaces in the padded
-    # buffer and in the convolution output.
+def test_c_scratch_reuse_survives_poisoning(rng, c_kernels):
+    # Layers with one padded size but different (h, padding) splits share
+    # the per-image scratch buffer.  Every cached buffer is poisoned before
+    # each call, so any halo element the kernel fails to rewrite surfaces
+    # in the output.
     channels = 3
-    for in_dtype, acc_dtype in MODES.values():
-        cache = BufferCache()
-        for h, w, padding in ((8, 6, 1), (6, 4, 2), (8, 6, 1),
-                              (4, 2, 3), (6, 4, 2)):
-            x, weight = _operands(rng, 2, channels, h, w, 3, in_dtype,
-                                  acc_dtype)
-            padded_shape = (2, h + 2 * padding, w + 2 * padding, channels)
-            cache.get("dwpad", padded_shape, in_dtype)
-            _poison(cache)
-            padded = kernels.pad_channels_last(x, padding, cache)
-            np.testing.assert_array_equal(
-                padded, kernels.pad_channels_last(x, padding, None))
-            np.testing.assert_array_equal(
-                padded[:, padding:padding + h, padding:padding + w],
-                x.transpose(0, 2, 3, 1))
+    cache = BufferCache()
+    for h, w, padding in ((8, 6, 1), (6, 4, 2), (8, 6, 1), (4, 2, 3),
+                          (6, 4, 2)):
+        shape = (2, channels, conv_output_size(h, 3, 1, padding),
+                 conv_output_size(w, 3, 1, padding))
+        x, weight = _operands(rng, 2, channels, h, w, 3, np.float32,
+                              np.float32)
+        out = np.empty(shape, dtype=np.float32)
+        _poison(cache)
+        assert native.depthwise_f32(x, weight, None, 1, padding, None,
+                                    cache, out)
+        np.testing.assert_array_equal(
+            _bits(out), _bits(_float_oracle(x, weight, None, 1, padding,
+                                            None)))
 
-            _poison(cache)
-            actual = kernels.depthwise_conv(x, weight, stride=1,
-                                            padding=padding, cache=cache)
-            np.testing.assert_array_equal(
-                _bits(actual),
-                _bits(_depthwise_reference(x, weight, 1, padding)))
-        assert len([key for key in cache._buffers
-                    if key[0] == "dwpad"]) == 1
+        q, weight_q = _operands(rng, 2, channels, h, w, 3, np.int8, np.int8)
+        bias_q, multiplier = _int8_layer(rng, channels)
+        codes = np.empty(shape, dtype=np.int8)
+        _poison(cache)
+        assert native.depthwise_s8(q, weight_q, bias_q, multiplier, 1,
+                                   padding, -127, 127, cache, codes)
+        np.testing.assert_array_equal(
+            codes, _int8_oracle(q, weight_q, bias_q, multiplier, 1, padding,
+                                -127, 127))
+    assert [key[0] for key in cache._buffers] == ["dwpad"]

@@ -26,6 +26,7 @@ from int8_fixtures import (
 from repro.hw import DeploymentPlan, deploy_backbone
 from repro.models import get_config
 from repro.runtime import InferenceEngine, Int8CompilationError, compile_backbone
+from repro.runtime import native
 from repro.runtime.kernels import INT8_QMAX, quantize_unit_rows
 from repro.serve import Server, snapshot_model
 
@@ -212,8 +213,8 @@ class TestGoldenConformance:
         _, _, _, golden = conformance
         np.testing.assert_array_equal(golden["images"], golden_inputs())
 
-    def test_reproduces_committed_fixture_exactly(self, conformance):
-        _, model, _, golden = conformance
+    @staticmethod
+    def _assert_reproduces_fixture(model, golden):
         predictor = model.runtime_predictor()
         theta_a = predictor.extract_backbone_features(golden["images"])
         np.testing.assert_array_equal(theta_a, golden["theta_a"])
@@ -224,6 +225,19 @@ class TestGoldenConformance:
         np.testing.assert_array_equal(ids, golden["ids"])
         np.testing.assert_array_equal(predictor.predict_features(theta_p),
                                       golden["labels"])
+
+    def test_reproduces_committed_fixture_exactly(self, conformance):
+        # With the C kernels of repro.runtime.native when a compiler is
+        # present (test_runtime_native checks that they load).
+        _, model, _, golden = conformance
+        self._assert_reproduces_fixture(model, golden)
+
+    def test_numpy_fallback_reproduces_committed_fixture(self, conformance,
+                                                         monkeypatch):
+        # The same bits with the C library handle forced off.
+        monkeypatch.setattr(native, "_library", False)
+        _, model, _, golden = conformance
+        self._assert_reproduces_fixture(model, golden)
 
     def test_bitwise_stable_across_chunkings(self, conformance):
         # Integer accumulation is exact, so micro-batch boundaries cannot

@@ -1,0 +1,119 @@
+"""The C kernel library: it loads where a compiler exists, and its epilogues
+match NumPy bit for bit.
+
+:mod:`repro.runtime.native` builds ``native.c`` on first use and falls back
+to NumPy when it cannot.  A silent fallback would hide a broken build behind
+slower kernels, so a host with a C compiler must load the library.  The
+depthwise kernels are checked in ``tests/test_runtime_depthwise.py``; this
+file checks the two GEMM epilogues on random int32 accumulators.
+"""
+
+import numpy as np
+import pytest
+
+from repro.runtime import kernels, native
+
+
+def test_c_kernels_load_when_a_compiler_is_on_path():
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    assert native.available(), (
+        f"{native.compiler()} is on PATH but the C kernel library did not "
+        f"load, so every kernel runs the NumPy fallback:\n"
+        f"{native.build_error}")
+
+
+def test_a_failed_build_falls_back_and_keeps_the_compiler_error(
+        tmp_path, monkeypatch, rng):
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    broken = tmp_path / "native.c"
+    broken.write_text("void requantize(void) { this is not C; }\n")
+    monkeypatch.setattr(native, "SOURCE", broken)
+    monkeypatch.setattr(native, "_library", None)
+    monkeypatch.setattr(native, "build_error", None)
+    assert native.library() is None
+    assert "error" in native.build_error
+    # The kernels still answer, through NumPy.
+    acc = rng.integers(-500, 500, (2, 3, 4)).astype(np.float32)
+    out = np.empty(acc.shape, dtype=np.int8)
+    assert not native.requantize(acc, np.zeros(3, np.int32),
+                                 np.full(3, 0.5), -127, 127, out)
+
+
+def test_a_hanging_compiler_times_out_and_falls_back(tmp_path, monkeypatch):
+    hanging = tmp_path / "cc"
+    hanging.write_text("#!/bin/sh\nexec sleep 30\n")
+    hanging.chmod(0o755)
+    monkeypatch.setattr(native, "compiler", lambda: str(hanging))
+    monkeypatch.setattr(native, "_COMPILER_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(native, "_library", None)
+    monkeypatch.setattr(native, "build_error", None)
+    assert native.library() is None
+    assert "timed out" in native.build_error
+
+
+def _accumulators(rng, shape):
+    """Exact-integer float32 accumulators: random, odd, and past the clamps."""
+    acc = rng.integers(-2 ** 20, 2 ** 20, shape).astype(np.float32)
+    acc[:, :, ::4] = 2 * rng.integers(-300, 300, acc[:, :, ::4].shape) + 1
+    acc[:, :, 1::8] = 0.0
+    return acc
+
+
+@pytest.mark.parametrize("qmin,qmax", [(-127, 127), (0, 127), (0, 51)])
+def test_c_requantize_matches_numpy(rng, qmin, qmax, c_kernels):
+    n, c, spatial = 3, 12, 37
+    acc = _accumulators(rng, (n, c, spatial))
+    bias_q = rng.integers(-5000, 5000, c).astype(np.int32)
+    bias_q[:4] = 0
+    # 0.5 rounds odd accumulators to exact .5 ties; 1e-3 and 3.0 push
+    # values past both clamp bounds.
+    multiplier = np.array([0.5, 0.5, 0.5, 0.5, 1e-3, 3.0, 1e-5, 0.25,
+                           1 / 3, 0.5, 2e-4, 7e-4])
+    actual = np.full((n, c, spatial), 113, dtype=np.int8)
+    assert native.requantize(acc, bias_q, multiplier, qmin, qmax, actual)
+    expected = acc + bias_q.astype(np.float32).reshape(1, c, 1)
+    expected = np.clip(np.rint(expected * multiplier.reshape(1, c, 1)),
+                       qmin, qmax).astype(np.int8)
+    np.testing.assert_array_equal(actual, expected)
+    ties = acc[:, :4] * 0.5
+    assert np.any(ties == np.floor(ties) + 0.5)
+    assert {qmin, qmax} <= set(np.unique(actual))
+
+
+@pytest.mark.parametrize("act", kernels.ACTIVATIONS)
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_c_dequantize_matches_numpy(rng, act, with_bias, c_kernels):
+    n, c, spatial = 3, 10, 29
+    acc = _accumulators(rng, (n, c, spatial))
+    dequant = rng.uniform(1e-6, 1e-4, c) * rng.choice([-1.0, 1.0], c)
+    dequant[0] = -1e-5                     # 0 * -x = -0.0 reaches the act
+    bias = rng.standard_normal(c).astype(np.float32) if with_bias else None
+    if bias is not None:
+        bias[0] = -0.0
+    actual = np.full((n, c, spatial), np.nan, dtype=np.float32)
+    assert native.dequantize(acc, dequant, bias, act, actual)
+    expected = (acc * dequant.reshape(1, c, 1)).astype(np.float32)
+    if bias is not None:
+        expected += bias.reshape(1, c, 1)
+    kernels.apply_activation(expected, act)
+    np.testing.assert_array_equal(actual.view(np.uint32),
+                                  expected.view(np.uint32))
+
+
+def test_wrappers_refuse_arrays_they_cannot_pass_to_c(rng, c_kernels):
+    # A wrong dtype, layout or size falls back to NumPy instead of handing
+    # C a pointer it would misread.
+    acc = rng.integers(-500, 500, (2, 3, 8)).astype(np.float32)
+    bias_q, multiplier = np.zeros(3, np.int32), np.full(3, 0.5)
+    out = np.empty(acc.shape, dtype=np.int8)
+    assert native.requantize(acc, bias_q, multiplier, -127, 127, out)
+    assert not native.requantize(acc.astype(np.float64), bias_q, multiplier,
+                                 -127, 127, out)
+    assert not native.requantize(acc[:, :, ::2].copy(), bias_q, multiplier,
+                                 -127, 127, out)
+    assert not native.requantize(acc, bias_q, multiplier, -127, 127,
+                                 np.empty((2, 8, 3), np.int8)[:, :3, :])
+    assert not native.requantize(acc, bias_q.astype(np.int64), multiplier,
+                                 -127, 127, out)
