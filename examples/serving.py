@@ -3,8 +3,9 @@
 
 Production deployment story on top of the batched runtime: the trained model
 is snapshotted into a picklable plan + prototype state, replicated across a
-pool of worker processes, and served behind a dynamic batcher that coalesces
-single-sample requests into micro-batches under a latency budget.  The demo
+pool of worker processes, and served behind a dynamic batcher that sends a
+single-sample request to an idle shard at once and coalesces requests into
+micro-batches only while every shard is busy.  The demo
 
 1. briefly trains a tiny model and learns the base-session prototypes,
 2. starts a `Server` with N worker shards (`model.serve(N)`),

@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(7)
     queries = rng.standard_normal((6, 3, 16, 16)).astype(np.float32)
 
-    with model.serve(2, max_latency_s=0.02, trace_sample=1.0,
+    with model.serve(2, trace_sample=1.0,
                      trace_exporter=JsonlSpanExporter(path)) as server:
         labels = [server.submit(query).result(timeout=60.0)
                   for query in queries]

@@ -186,7 +186,7 @@ class ScenarioRun:
         # slot: it must still answer correctly through the pickle fallback.
         self.oversized_batch = rng.standard_normal(
             (32, *IMAGE_SHAPE)).astype(np.float32)
-        kwargs = dict(num_workers=2, max_latency_s=0.02)
+        kwargs = dict(num_workers=2)
         kwargs.update(server_kwargs)
         self.server = Server(self.model, **kwargs)
         self.chaos = ChaosController(self.server)
@@ -405,7 +405,7 @@ def scenario_burst_admission(seed: int) -> dict:
     """Concurrent bursty overload: exact admission cap, typed shedding,
     and EMA decay un-sticking the SLO gate."""
     run = ScenarioRun("burst_admission", seed, max_pending=8,
-                      max_latency_s=0.005, ema_halflife_s=0.3)
+                      ema_halflife_s=0.3)
     try:
         expected = run.reference().predict(run.shots)
         accepted: List[tuple] = []
@@ -913,7 +913,7 @@ def scenario_restart_replay(seed: int) -> dict:
     # Full restart: fresh base model (same seed, none of the journalled
     # classes), fresh server, replay.
     model, _ = build_model(seed)
-    restored = Server(model, num_workers=2, max_latency_s=0.02)
+    restored = Server(model, num_workers=2)
     try:
         applied = restored.restore(journal_path)
         run.check(applied == len(learned),

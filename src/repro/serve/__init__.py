@@ -25,11 +25,12 @@ one process; this package scales that out to a pool of worker processes:
   :meth:`Server.restore` so online-learned classes survive a full server
   restart bit-for-bit;
 * :mod:`repro.serve.server` — :class:`Server`, the dynamic batcher: it
-  coalesces single-sample requests under a latency budget, dispatches
-  micro-batches to the least-loaded live shard, sheds overload with a
-  typed :class:`ServerOverloaded` (bounded admission queue + optional
-  latency SLO), and keeps worker prototype replicas in sync with the
-  explicit memory through its ``version`` counter.
+  hands single-sample requests to an idle shard at once and coalesces them
+  only while every live shard is busy (batch size follows load, no timer),
+  dispatches micro-batches to the least-loaded live shard, sheds overload
+  with a typed :class:`ServerOverloaded` (bounded admission queue +
+  optional latency SLO), and keeps worker prototype replicas in sync with
+  the explicit memory through its ``version`` counter.
 
 Typical use::
 
@@ -50,7 +51,6 @@ from .journal import (
     LearnJournal,
 )
 from .server import (
-    DEFAULT_MAX_LATENCY_S,
     Server,
     ServerClosedError,
     ServerOverloaded,
@@ -80,7 +80,6 @@ __all__ = [
     "Server",
     "ServerClosedError",
     "ServerOverloaded",
-    "DEFAULT_MAX_LATENCY_S",
     "ShardedEngine",
     "RemoteWorkerError",
     "WorkerDiedError",

@@ -13,13 +13,14 @@ and exposes the deploy-time API of the model — ``predict`` /
   *bit-for-bit* regardless of shard count or chunking — sharding is a pure
   throughput decision, never an accuracy one.
 * **Asynchronous single-sample path** — :meth:`submit` hands one image to
-  the dynamic batcher, which coalesces requests into micro-batches under a
-  max-latency budget and dispatches each batch to the least-loaded live
-  shard, where the full replica (backbone + FCR + prototype state) answers
-  in a single hop.  Admission control bounds the damage of overload: a
-  bounded request queue plus an optional latency SLO shed excess traffic
-  with a typed :class:`ServerOverloaded` instead of queueing unboundedly,
-  and a per-shard in-flight budget backpressures the batcher so no single
+  the work-conserving dynamic batcher: it coalesces requests only while
+  every live shard is busy, so batch size follows load, not a timer, and
+  dispatches each batch to the least-loaded live shard, where the full
+  replica (backbone + FCR + prototype state) answers in a single hop.
+  Admission control bounds the damage of overload: a bounded request queue
+  plus an optional latency SLO shed excess traffic with a typed
+  :class:`ServerOverloaded` instead of queueing unboundedly, and a
+  per-shard in-flight budget backpressures the batcher so no single
   shard's queue grows without bound.
 * **Fault tolerance** — the engine's liveness watchdog detects a dead (or,
   with ``hang_silence_s``, heartbeat-silent) worker process, fails that
@@ -63,9 +64,6 @@ from .snapshot import snapshot_model, snapshot_prototypes
 from .stats import DEFAULT_EMA_HALFLIFE_S, ServeStats
 from .transport import DEFAULT_RING_SLOTS, DEFAULT_SLOT_BYTES
 
-#: Default time budget the dynamic batcher waits to fill a micro-batch.
-DEFAULT_MAX_LATENCY_S = 0.01
-
 #: Default shared deadline for one stats collection (see ``stats_timeout_s``
 #: on :class:`Server`).
 DEFAULT_STATS_TIMEOUT_S = 10.0
@@ -75,8 +73,8 @@ DEFAULT_STATS_TIMEOUT_S = 10.0
 #: shard may wait before new submits are shed).
 DEFAULT_ADMISSION_BATCHES_PER_WORKER = 8
 
-#: Default bound on dispatched-but-unresolved batches per shard before the
-#: batcher backpressures (stops dispatching until a shard frees budget).
+#: Dispatched-but-unresolved batches per shard at which the batcher
+#: backpressures: a full batch waits until some live shard is below it.
 DEFAULT_MAX_INFLIGHT_BATCHES = 4
 
 
@@ -121,12 +119,10 @@ class Server:
     def __init__(self, model, num_workers: int = 2,
                  micro_batch: Optional[int] = None,
                  max_batch: Optional[int] = None,
-                 max_latency_s: float = DEFAULT_MAX_LATENCY_S,
                  start_method: str = DEFAULT_START_METHOD,
                  blas_threads_per_worker: Optional[int] = 1,
                  max_pending: Optional[int] = None,
                  latency_slo_s: Optional[float] = None,
-                 max_inflight_batches: int = DEFAULT_MAX_INFLIGHT_BATCHES,
                  use_shared_memory: bool = True,
                  ring_slots: int = DEFAULT_RING_SLOTS,
                  slot_bytes: int = DEFAULT_SLOT_BYTES,
@@ -157,9 +153,6 @@ class Server:
             estimated queueing delay (queued batches plus in-flight batches,
             times the observed batch latency) exceeds it, submits are shed
             with :class:`ServerOverloaded` instead of waiting it out.
-        max_inflight_batches: dispatched-but-unresolved batch budget per
-            shard; the batcher backpressures (pauses dispatch) while every
-            live shard is at budget.
         use_shared_memory: route tensor payloads through the shared-memory
             ring transport (on by default; off forces the pickle fallback —
             results are bit-identical either way).
@@ -236,12 +229,10 @@ class Server:
             recovery_listener=self.stats.observe_recovery_event,
             tracer=self.tracer, chaos=chaos)
         self.max_batch = max_batch or self.micro_batch
-        self.max_latency_s = max_latency_s
         self.max_pending = max_pending if max_pending is not None \
             else (DEFAULT_ADMISSION_BATCHES_PER_WORKER * self.max_batch
                   * num_workers)
         self.latency_slo_s = latency_slo_s
-        self.max_inflight_batches = max_inflight_batches
         self._proto_version = snapshot.prototypes.version
         self._proto_lock = threading.Lock()
         # The coordinator-side predictor (FCR projection + prototype GEMM)
@@ -403,7 +394,10 @@ class Server:
         batches are no longer double-counted on top of queue depth),
         converted to batches, spread over the live shards, times the
         observed per-batch latency.  Zero until a first batch latency
-        exists — the SLO gate never sheds on a cold server."""
+        exists — the SLO gate never sheds on a cold server.  Counting the
+        backlog in full batches holds whenever the gate can fire: such a
+        backlog keeps every live shard busy, and then the batcher fills its
+        batches."""
         batch_latency = self.stats.ema_batch_latency_s
         if batch_latency <= 0.0:
             return 0.0
@@ -418,9 +412,10 @@ class Server:
     def submit(self, image: np.ndarray) -> Future:
         """Enqueue one query image; resolves to its predicted class id.
 
-        Requests are coalesced into micro-batches of up to ``max_batch``
-        samples, waiting at most ``max_latency_s`` after the first request
-        of a batch, and each batch is answered end-to-end by one shard.
+        While some live shard has nothing in flight, the request leaves at
+        once with the same-shape requests already queued; only while every
+        live shard is busy does the batcher wait for more (up to
+        ``max_batch``).  Each batch is answered end-to-end by one shard.
 
         Raises:
             ServerOverloaded: ``max_pending`` requests are already
@@ -508,15 +503,18 @@ class Server:
             batch = [first]
             shape = first.image.shape
             coalesce_started = time.time()
-            deadline = time.monotonic() + self.max_latency_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
+            # Work-conserving close: with a live shard idle, take only what
+            # is already queued; wait for arrivals only while every live
+            # shard is busy, until the batch fills or a shard goes idle.
+            while len(batch) < self.max_batch and not self._stop.is_set():
+                idle = self.engine.min_live_inflight() == 0
                 try:
-                    request = self._requests.get(timeout=remaining)
+                    request = (self._requests.get_nowait() if idle
+                               else self._requests.get(timeout=0.001))
                 except queue.Empty:
-                    break
+                    if idle:
+                        break
+                    continue
                 if request.image.shape != shape:
                     # A mis-shaped request must not poison the batch it
                     # happened to coalesce with: np.stack over mixed shapes
@@ -537,7 +535,7 @@ class Server:
             while (not self._stop.is_set()
                    and self.engine.live_workers
                    and self.engine.min_live_inflight()
-                   >= self.max_inflight_batches):
+                   >= DEFAULT_MAX_INFLIGHT_BATCHES):
                 time.sleep(0.001)
             if self._stop.is_set():
                 if carry is not None:

@@ -718,7 +718,6 @@ class ShardedEngine:
                 self._fail_worker(index, reason)
             return
         with self._lock:
-            self._restarts[index] += 1
             failed_at = self._failed_at[index]
             self._failed_at[index] = None
         latency = None if failed_at is None else time.monotonic() - failed_at
@@ -727,7 +726,8 @@ class ShardedEngine:
 
     def _resync_prototypes(self, index: int) -> None:
         """Bring a respawned shard to the *current* prototype version, then
-        mark it live.
+        mark it live and count its restart under the same lock (a reader
+        must never see the shard routable with the old restart count).
 
         The loop closes the respawn/broadcast race: a concurrent
         :meth:`set_prototypes` updates ``_latest_prototypes`` under the lock
@@ -742,6 +742,7 @@ class ShardedEngine:
             if state is None:
                 with self._lock:
                     self._resyncing[index] = False
+                    self._restarts[index] += 1
                 return
             self.submit("set_prototypes", state, worker=index).result(
                 timeout=self._startup_timeout)
@@ -749,6 +750,7 @@ class ShardedEngine:
                 if (self._latest_prototypes is None
                         or self._latest_prototypes.version == state.version):
                     self._resyncing[index] = False
+                    self._restarts[index] += 1
                     return
 
     # ------------------------------------------------------------------

@@ -74,7 +74,8 @@ class ServeStats:
 
     The ``serve.batch_size`` histogram is the dynamic batcher's report card:
     a saturating workload should pile mass at ``max_batch``, a trickle of
-    single requests should sit at 1 with ``max_latency`` bounding the wait.
+    single requests should sit at 1, each dispatched as soon as it arrives
+    at an idle shard.
     ``serve.shed_total`` against admitted requests is the overload report
     card.
     """

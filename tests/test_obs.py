@@ -393,7 +393,7 @@ class TestTracePropagation:
             self, learned, tmp_path, use_shared_memory):
         model, shots = learned
         path = tmp_path / "trace.jsonl"
-        with model.serve(2, max_latency_s=0.02, trace_sample=1.0,
+        with model.serve(2, trace_sample=1.0,
                          trace_exporter=JsonlSpanExporter(path),
                          use_shared_memory=use_shared_memory) as server:
             label = server.predict_one(shots[0], timeout=60)
@@ -433,8 +433,7 @@ class TestTracePropagation:
     def test_untraced_server_exports_nothing(self, learned, tmp_path):
         model, shots = learned
         path = tmp_path / "trace.jsonl"
-        with model.serve(1, max_latency_s=0.02,
-                         trace_exporter=JsonlSpanExporter(path)) as server:
+        with model.serve(1, trace_exporter=JsonlSpanExporter(path)) as server:
             server.predict_one(shots[0], timeout=60)
         assert not path.exists()                # sample_rate 0: no spans
 

@@ -280,7 +280,7 @@ class TestSnapshotRoundTrip:
     def test_sharded_serving_parity_is_bit_for_bit(self, conformance):
         _, model, _, golden = conformance
         predictor = model.runtime_predictor()
-        with Server(model, num_workers=2, max_latency_s=0.05) as server:
+        with Server(model, num_workers=2) as server:
             # Sync path: workers run the backbone, coordinator finishes.
             np.testing.assert_array_equal(
                 server.extract_backbone_features(golden["images"]),

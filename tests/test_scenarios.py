@@ -144,8 +144,7 @@ def test_scatter_and_broadcast_survive_worker_death(scenario_model):
     # Respawn off: this test pins the *degraded-pool* contract (the corpse
     # stays dead and its absence is visible); the supervised-respawn
     # lifecycle is pinned by tests/test_serve_recovery.py.
-    server = Server(model, num_workers=2, max_latency_s=0.02, micro_batch=8,
-                    max_respawns=0)
+    server = Server(model, num_workers=2, micro_batch=8, max_respawns=0)
     try:
         queries = np.random.default_rng(21).standard_normal(
             (24, 3, 16, 16)).astype(np.float32)
@@ -177,7 +176,7 @@ def test_admission_counter_is_exact_and_released(scenario_model):
     approximate qsize overshoot, and completion releases the slot."""
     model, shots = scenario_model
     expected = model.runtime_predictor().predict(shots)
-    server = Server(model, num_workers=1, max_pending=2, max_latency_s=0.01)
+    server = Server(model, num_workers=1, max_pending=2)
     try:
         assert server.outstanding == 0
         first = server.submit(shots[0])
@@ -221,7 +220,7 @@ def test_batcher_isolates_mixed_shapes(scenario_model):
     reference = model.runtime_predictor()
     big = np.random.default_rng(31).standard_normal(
         (4, 3, 32, 32)).astype(np.float32)
-    server = Server(model, num_workers=1, max_latency_s=0.05)
+    server = Server(model, num_workers=1)
     try:
         futures = []
         for i in range(4):                     # interleave the two shapes
@@ -242,8 +241,7 @@ def test_server_close_flushes_trace_spans(tmp_path, scenario_model):
     tail of the trace must not die in a buffered file handle."""
     model, shots = scenario_model
     trace_path = tmp_path / "spans.jsonl"
-    server = Server(model, num_workers=1, max_latency_s=0.01,
-                    trace_sample=1.0,
+    server = Server(model, num_workers=1, trace_sample=1.0,
                     trace_exporter=JsonlSpanExporter(trace_path))
     try:
         futures = [server.submit(shots[i]) for i in range(4)]

@@ -21,6 +21,7 @@ from repro.core import OFSCIL, OFSCILConfig
 from repro.models.mobilenetv2 import ConvBNReLU
 from repro.nn.tensor import Tensor
 from repro.runtime import InferenceEngine, compile_module
+from repro.scenarios import ChaosController
 from repro.serve import (
     EngineClosedError,
     PlanSerializationError,
@@ -54,11 +55,21 @@ def make_learned_model(seed: int = 0):
     return model, shots
 
 
+def _submit_and_wait_inflight(server, image, timeout: float = 30.0):
+    """Submit one request and return its future once a shard holds it."""
+    future = server.submit(image)
+    deadline = time.monotonic() + timeout
+    while sum(server.engine.inflight_per_worker()) == 0:
+        assert time.monotonic() < deadline, "request never reached a shard"
+        time.sleep(0.001)
+    return future
+
+
 @pytest.fixture(scope="module")
 def served():
     """(model, 2-worker server, shots) shared by the serving tests."""
     model, shots = make_learned_model()
-    server = Server(model, num_workers=2, max_latency_s=0.05)
+    server = Server(model, num_workers=2)
     yield model, server, shots
     server.close()
 
@@ -273,6 +284,56 @@ class TestDynamicBatcher:
         assert sum(size * count for size, count in histogram.items()) >= 12
         assert max(histogram) > 1, f"no coalescing happened: {histogram}"
 
+    def test_lone_request_on_an_idle_pool_is_not_held(self):
+        # Work-conserving close: with a shard idle, waiting for company only
+        # adds latency, so the coalesce span of a lone request is the
+        # batcher's own bookkeeping, far below a 10 ms coalescing window.
+        model, shots = make_learned_model(seed=3)
+        with Server(model, num_workers=1, trace_sample=1.0) as server:
+            label = server.predict_one(shots[0], timeout=60)
+            spans = server.tracer.exporter.spans
+        assert label == int(model.runtime_predictor().predict(shots[:1])[0])
+        (coalesce,) = [span for span in spans
+                       if span["name"] == "batcher.coalesce"]
+        assert coalesce["attrs"]["batch_size"] == 1
+        assert coalesce["duration_s"] < 0.010, coalesce
+
+    def test_arrivals_coalesce_while_every_shard_is_busy(self):
+        model, shots = make_learned_model(seed=3)
+        with Server(model, num_workers=1) as server:
+            chaos = ChaosController(server)
+            chaos.slow_shard(0, 0.5)
+            try:
+                first = _submit_and_wait_inflight(server, shots[0])
+                rest = []
+                for image in shots[1:6]:
+                    rest.append(server.submit(image))
+                    time.sleep(0.02)
+                labels = [future.result(timeout=60)
+                          for future in (first, *rest)]
+            finally:
+                chaos.heal()
+            histogram = server.stats.as_dict()["batch_size_histogram"]
+        np.testing.assert_array_equal(
+            labels, model.runtime_predictor().predict(shots[:6]))
+        # The first request went out alone to the idle shard; the next five
+        # arrived while it was busy and left together once it went idle.
+        assert histogram == {1: 1, 5: 1}, histogram
+
+    def test_close_during_accumulation_fails_the_held_batch(self):
+        model, shots = make_learned_model(seed=3)
+        server = Server(model, num_workers=1)
+        try:
+            ChaosController(server).slow_shard(0, 0.5)
+            _submit_and_wait_inflight(server, shots[0])
+            held = [server.submit(image) for image in shots[1:4]]
+            time.sleep(0.05)          # the batcher takes them into its batch
+        finally:
+            server.close()
+        for future in held:
+            with pytest.raises(ServerClosedError):
+                future.result(timeout=30)
+
     def test_predict_one_roundtrip(self, served):
         model, server, shots = served
         label = server.predict_one(shots[0])
@@ -363,7 +424,7 @@ class TestDegradedStats:
         # dead_workers would legitimately empty out mid-assert.
         model, shots = make_learned_model(seed=6)
         with Server(model, num_workers=2, micro_batch=4,
-                    max_latency_s=0.05, max_respawns=0) as server:
+                    max_respawns=0) as server:
             server.predict(shots[:8])   # two chunks -> warms both replicas
             victim = server.engine._processes[0]
             # Let the victim's result-queue feeder thread go quiescent
@@ -419,8 +480,7 @@ class TestFaultInjection:
         rng = np.random.default_rng(11)
         queries = rng.standard_normal((40, *IMAGE_SHAPE)).astype(np.float32)
         reference = model.runtime_predictor().predict(queries)
-        with Server(model, num_workers=2, max_latency_s=0.05,
-                    max_respawns=0) as server:
+        with Server(model, num_workers=2, max_respawns=0) as server:
             server.predict(queries[:8])            # warm both replicas
             big = rng.standard_normal((64, *IMAGE_SHAPE)).astype(np.float32)
             inflight = [server.engine.submit("backbone", big, worker=0)
@@ -530,8 +590,7 @@ class TestTransportParity:
         # end-to-end through real spawned workers.
         model, _ = make_learned_model(seed=9)
         reference = model.runtime_predictor().predict(queries)
-        with Server(model, num_workers=2, max_latency_s=0.05,
-                    use_shared_memory=False) as server:
+        with Server(model, num_workers=2, use_shared_memory=False) as server:
             assert all(ring is None for ring in server.engine._request_rings)
             np.testing.assert_array_equal(server.predict(queries), reference)
             sims, ids = server.similarities(queries[:32])

@@ -3,12 +3,14 @@
 Drives a saturating workload through :class:`repro.serve.Server` at every
 worker count in ``WORKER_SWEEP`` (1, 2, 4), recording for each point the
 synchronous batch throughput, the async single-request throughput, the
-p50/p99 request latency of the dynamic-batcher path, and the admission
-shed rate.  The sweep is appended to ``BENCH_serve.json`` at the repository
-root (run history, like ``BENCH_runtime.json``), and the multi-worker
-scaling over the single-worker baseline is asserted against
-``SCALING_FLOOR``.  Every configuration pins one BLAS thread per worker, so
-the comparison isolates process-level sharding from library threading.
+p50/p99 request latency of the dynamic-batcher path (read from a
+:class:`repro.obs.metrics.Histogram`, the shared quantile path), and the
+admission shed rate.  The sweep is appended to ``BENCH_serve.json`` at the
+repository root (run history, like ``BENCH_runtime.json``), with the
+host's cores and BLAS threads beside it, and the multi-worker scaling over
+the single-worker baseline is asserted against ``SCALING_FLOOR``.  Every
+configuration pins one BLAS thread per worker, so the comparison isolates
+process-level sharding from library threading.
 
 The scaling assertion needs real hardware parallelism: on a single-core host
 (CI sandboxes, cgroup-limited containers) the sweep is still recorded but
@@ -29,7 +31,8 @@ import numpy as np
 import pytest
 
 from repro.core import OFSCIL, OFSCILConfig
-from repro.report import append_bench_record
+from repro.obs.metrics import Histogram
+from repro.report import append_bench_record, host_record
 from repro.serve import Server, ServerOverloaded
 
 pytestmark = pytest.mark.slow
@@ -40,6 +43,10 @@ SCALING_FLOOR = 1.5
 SATURATION_SAMPLES = 768
 ASYNC_REQUESTS = 256
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
+#: Request-latency buckets, 1 ms to 60 s, each about 10% wider than the
+#: last: the default time buckets are 2-2.5x wide around the sweep's
+#: 50-250 ms latencies, so its quantiles would land on bucket edges.
+LATENCY_BUCKETS_S = tuple(np.geomspace(1e-3, 60.0, 120))
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +59,6 @@ def bench_model():
     for class_id in range(8):
         model.learn_class(shots[class_id * 5:(class_id + 1) * 5], class_id)
     return model
-
-
-def _percentile_ms(latencies_s, fraction: float) -> float:
-    """Nearest-rank percentile of a latency sample, in milliseconds."""
-    ordered = sorted(latencies_s)
-    rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered)) - 1))
-    return ordered[rank] * 1e3
 
 
 def _tracing_off_cost_s(iterations: int = 50_000) -> float:
@@ -120,8 +120,9 @@ def _sweep_point(model, num_workers: int, images: np.ndarray) -> dict:
         for _, _, future in submitted:
             future.result(timeout=300)
         async_elapsed = time.perf_counter() - start
-        latencies = [completions[index] - began
-                     for index, began, _ in submitted]
+        latencies = Histogram("sweep.request_latency_s", LATENCY_BUCKETS_S)
+        for index, began, _ in submitted:
+            latencies.observe(completions[index] - began)
         report = server.stats.as_dict()
 
     assert max(report["batch_size_histogram"]) > 1, (
@@ -131,8 +132,8 @@ def _sweep_point(model, num_workers: int, images: np.ndarray) -> dict:
         "workers": num_workers,
         "sync_samples_per_s": round(sync_rate, 1),
         "async_samples_per_s": round(len(submitted) / async_elapsed, 1),
-        "latency_p50_ms": round(_percentile_ms(latencies, 0.50), 2),
-        "latency_p99_ms": round(_percentile_ms(latencies, 0.99), 2),
+        "latency_p50_ms": round(latencies.quantile(0.50) * 1e3, 2),
+        "latency_p99_ms": round(latencies.quantile(0.99) * 1e3, 2),
         "requests_shed": report["requests_shed"],
         "shed_rate": round(report["shed_rate"], 4),
     }
@@ -168,7 +169,7 @@ def test_worker_sweep_scaling_beats_single_worker(bench_model):
 
     record = {
         "backbone": BACKBONE,
-        "cores": cores,
+        **host_record(),
         "saturation_samples": SATURATION_SAMPLES,
         "async_requests": ASYNC_REQUESTS,
         "sweep": sweep,

@@ -229,8 +229,7 @@ class TestSupervisedRespawn:
     def test_sigkill_respawns_resyncs_and_rejoins(self):
         model, shots = make_learned_model(seed=10)
         expected = model.runtime_predictor().predict(shots)
-        with Server(model, num_workers=2, max_latency_s=0.05,
-                    watchdog_interval_s=0.05,
+        with Server(model, num_workers=2, watchdog_interval_s=0.05,
                     respawn_backoff=fast_backoff()) as server:
             server.predict(shots[:8])              # warm both replicas
             engine = server.engine
@@ -259,9 +258,8 @@ class TestSupervisedRespawn:
         # terminally dead with coherent stats, and keep the survivor exact.
         model, shots = make_learned_model(seed=10)
         expected = model.runtime_predictor().predict(shots)
-        with Server(model, num_workers=2, max_latency_s=0.05,
-                    watchdog_interval_s=0.05, max_respawns=1,
-                    respawn_backoff=fast_backoff()) as server:
+        with Server(model, num_workers=2, watchdog_interval_s=0.05,
+                    max_respawns=1, respawn_backoff=fast_backoff()) as server:
             engine = server.engine
             server.predict(shots[:8])
             deadline = time.monotonic() + RECOVERY_DEADLINE_S
@@ -289,8 +287,8 @@ class TestSupervisedRespawn:
     def test_hang_escalation_replaces_sigstopped_worker(self):
         model, shots = make_learned_model(seed=10)
         expected = model.runtime_predictor().predict(shots)
-        with Server(model, num_workers=2, max_latency_s=0.05,
-                    watchdog_interval_s=0.05, hang_silence_s=0.5,
+        with Server(model, num_workers=2, watchdog_interval_s=0.05,
+                    hang_silence_s=0.5,
                     respawn_backoff=fast_backoff()) as server:
             engine = server.engine
             server.predict(shots[:8])
@@ -321,8 +319,7 @@ class TestSupervisedRespawn:
         # dead, nothing respawns, survivors serve around the corpse.
         model, shots = make_learned_model(seed=10)
         expected = model.runtime_predictor().predict(shots)
-        with Server(model, num_workers=2, max_latency_s=0.05,
-                    watchdog_interval_s=0.05,
+        with Server(model, num_workers=2, watchdog_interval_s=0.05,
                     max_respawns=0) as server:
             engine = server.engine
             server.predict(shots[:8])
@@ -374,8 +371,7 @@ class TestJournalThroughServer:
         queries = rng.standard_normal((20, *IMAGE_SHAPE)).astype(np.float32)
         novel = {6: rng.standard_normal((5, *IMAGE_SHAPE)).astype(np.float32),
                  7: rng.standard_normal((5, *IMAGE_SHAPE)).astype(np.float32)}
-        with Server(model, num_workers=2, max_latency_s=0.05,
-                    watchdog_interval_s=0.05,
+        with Server(model, num_workers=2, watchdog_interval_s=0.05,
                     respawn_backoff=fast_backoff(),
                     journal_path=journal_path) as server:
             server.predict(queries[:8])
@@ -390,7 +386,7 @@ class TestJournalThroughServer:
             saved_counts = dict(model.memory._counts)
             saved_predictions = server.predict(queries)
         twin, _ = make_learned_model(seed=10)
-        with Server(twin, num_workers=1, max_latency_s=0.05) as restored:
+        with Server(twin, num_workers=1) as restored:
             assert restored.restore(journal_path) == 2
             matrix, ids = twin.memory.prototype_matrix()
             np.testing.assert_array_equal(ids, saved_ids)
