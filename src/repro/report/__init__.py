@@ -2,19 +2,15 @@
 
 from .bench import (
     DEFAULT_HISTORY_LIMIT,
-    append_bench_record,
     append_keyed_bench_record,
     host_record,
-    load_bench,
     load_keyed_bench,
 )
 from .records import ExperimentRecord, load_records, save_records
 from .tables import dict_rows_to_table, format_table, relative_error
 
 __all__ = [
-    "append_bench_record",
     "append_keyed_bench_record",
-    "load_bench",
     "load_keyed_bench",
     "host_record",
     "DEFAULT_HISTORY_LIMIT",

@@ -1,18 +1,18 @@
-"""Benchmark artefact files with an append-only run history.
+"""Benchmark artefact files with an append-only run history per key.
 
 The perf-regression harnesses (``tests/test_runtime_perf.py``,
-``tests/test_serve_perf.py``) record their measurements in JSON files at the
-repository root.  Overwriting a single record on every run made the bench
-trajectory invisible; :func:`append_bench_record` keeps a bounded history
-instead::
+``tests/test_serve_perf.py``) and the scenario matrix record their
+measurements in JSON files at the repository root.  Each file holds one
+bounded trend per record kind (a bench section or a scenario), so the bench
+trajectory across commits stays visible::
 
     {
-      "latest":  {...most recent record...},
-      "history": [{...oldest...}, ..., {...most recent...}]
+      "<key>": {
+        "latest":  {...most recent record...},
+        "history": [{...oldest...}, ..., {...most recent...}]
+      },
+      ...
     }
-
-Legacy single-record files (the pre-history format) are migrated in place:
-the old record becomes the first history entry.
 """
 
 from __future__ import annotations
@@ -23,63 +23,17 @@ import os
 from pathlib import Path
 from typing import Optional
 
-#: Default cap on retained history entries per bench file.
+#: Default cap on retained history entries per key.
 DEFAULT_HISTORY_LIMIT = 100
 
 
-def load_bench(path) -> dict:
-    """Read a bench file into ``{"latest": ..., "history": [...]}`` form.
-
-    Missing, unreadable, or legacy files normalise into the same shape so
-    callers never branch on the on-disk format.
-    """
-    path = Path(path)
-    if not path.exists():
-        return {"latest": None, "history": []}
-    try:
-        data = json.loads(path.read_text())
-    except (ValueError, OSError):
-        return {"latest": None, "history": []}
-    if not isinstance(data, dict):
-        return {"latest": None, "history": []}
-    if "history" in data:
-        history = [entry for entry in data.get("history", [])
-                   if isinstance(entry, dict)]
-        latest = data.get("latest") or (history[-1] if history else None)
-        return {"latest": latest, "history": history}
-    if data:                               # legacy single-record file
-        return {"latest": data, "history": [data]}
-    return {"latest": None, "history": []}
-
-
-def append_bench_record(path, record: dict,
-                        limit: Optional[int] = DEFAULT_HISTORY_LIMIT) -> dict:
-    """Append ``record`` to the bench file at ``path`` and return the data.
-
-    Args:
-        path: JSON file location (created if missing).
-        record: the new measurement; becomes ``latest`` and the last
-            ``history`` entry.
-        limit: maximum history entries to retain (oldest dropped first);
-            ``None`` keeps everything.
-    """
-    data = load_bench(path)
-    data["history"].append(record)
-    if limit is not None and len(data["history"]) > limit:
-        # NB: a plain [-limit:] slice would keep everything at limit=0.
-        data["history"] = data["history"][-limit:] if limit > 0 else []
-    data["latest"] = record
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
-    return data
-
-
 def load_keyed_bench(path) -> dict:
-    """Read a *keyed* bench file: ``{key: {"latest", "history"}}``.
+    """Read a bench file: ``{key: {"latest", "history"}}``.
 
-    The multi-trend variant used by ``BENCH_scenarios.json``, where each
-    scenario keeps its own independent trend in one file.  Missing or
-    unreadable files normalise to ``{}``; malformed per-key entries
-    normalise the same way :func:`load_bench` does.
+    Missing or unreadable files normalise to ``{}``.  Non-dict keys and
+    history entries are dropped, a missing ``latest`` is the last history
+    entry, and a missing ``history`` is empty, so callers never branch on
+    a half-written file.
     """
     path = Path(path)
     if not path.exists():
@@ -104,16 +58,24 @@ def load_keyed_bench(path) -> dict:
 def append_keyed_bench_record(path, key: str, record: dict,
                               limit: Optional[int] = DEFAULT_HISTORY_LIMIT
                               ) -> dict:
-    """Append ``record`` under ``key`` in a keyed bench file.
+    """Append ``record`` under ``key`` in the bench file at ``path``.
 
-    Same semantics as :func:`append_bench_record`, but the file holds one
-    ``{"latest", "history"}`` trend per key, so e.g. every scenario in a
-    matrix run accumulates its own history side by side.
+    Args:
+        path: JSON file location (created if missing).
+        key: the trend the record belongs to (a bench section or a
+            scenario name); the other keys are kept as they are.
+        record: the new measurement; becomes the key's ``latest`` and its
+            last ``history`` entry.
+        limit: maximum history entries to retain per key (oldest dropped
+            first); ``None`` keeps everything.
+
+    Returns the whole file's data.
     """
     data = load_keyed_bench(path)
     entry = data.setdefault(key, {"latest": None, "history": []})
     entry["history"].append(record)
     if limit is not None and len(entry["history"]) > limit:
+        # NB: a plain [-limit:] slice would keep everything at limit=0.
         entry["history"] = entry["history"][-limit:] if limit > 0 else []
     entry["latest"] = record
     Path(path).write_text(json.dumps(data, indent=2) + "\n")

@@ -4,6 +4,11 @@
 runs :func:`~repro.runtime.optimizer.optimize_plan` on the plan it is given
 unless constructed with ``optimize=False``.  Already-optimized plans, such
 as snapshot restores, pass through unchanged.
+
+A planned chunk runs through a bound program (see :mod:`repro.runtime.plan`):
+the first chunk of a batch size binds every step to the thread's
+:class:`BufferCache` and arena, and later chunks of that size replay it.
+Programs live on the cache, which drops them whenever it releases a buffer.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ import dataclasses
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..obs.trace import ambient_span
+from . import native
 from .kernels import BufferCache
 from .optimizer import MemoryPlan, optimize_plan, plan_memory
 from .plan import InferencePlan
@@ -117,6 +123,7 @@ class InferenceEngine:
         self._tls.cache = self.cache
         self._caches: List[BufferCache] = [self.cache]
         self._caches_lock = threading.Lock()
+        self._constants: Dict[int, dict] = {}
         self.metrics_prefix = metrics_prefix
         self._bind_registry(registry)
 
@@ -160,7 +167,8 @@ class InferenceEngine:
         # Telemetry handles (the registry's closures capture ``self``; the
         # profiler holds cross-engine instruments) are process-local too.
         for transient in ("cache", "_pool", "_tls", "_caches",
-                          "_caches_lock", "registry", "profiler"):
+                          "_caches_lock", "_constants", "registry",
+                          "profiler"):
             state.pop(transient, None)
         return state
 
@@ -172,6 +180,7 @@ class InferenceEngine:
         self._tls.cache = self.cache
         self._caches = [self.cache]
         self._caches_lock = threading.Lock()
+        self._constants = {}
         self.profiler = None
         self._bind_registry(None)
 
@@ -240,8 +249,30 @@ class InferenceEngine:
             self._tls.cache = cache
             with self._caches_lock:
                 self._caches.append(cache)
-        return self.plan.execute(chunk, cache, memory_plan=self.memory_plan,
-                                 profiler=self.profiler)
+        memory_plan = self.memory_plan
+        if memory_plan is None:
+            return self.plan.execute(chunk, cache, profiler=self.profiler)
+        program = cache.programs.get(self._program_key(chunk))
+        if program is not None:
+            return self.plan.replay(program, chunk, self.profiler)
+        evictions = cache.evictions
+        out, program = self.plan.bind(chunk, cache, memory_plan,
+                                      profiler=self.profiler,
+                                      constants=self._constants)
+        if cache.evictions == evictions:
+            cache.programs[self._program_key(chunk)] = program
+        return out
+
+    def _program_key(self, chunk: np.ndarray) -> tuple:
+        """What a bound program depends on besides the plan and its cache.
+
+        The memory plan and its arena generation fix the arena views, the
+        batch size fixes every shape, and the native library handle fixes
+        the C-or-NumPy choice (tests switch the library off at run time).
+        """
+        memory_plan = self.memory_plan
+        return (id(memory_plan), memory_plan._arena_generation,
+                chunk.shape[0], native.library())
 
     def _run_parallel(self, chunks: List[np.ndarray]) -> List[np.ndarray]:
         if self._pool is None:

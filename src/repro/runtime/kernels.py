@@ -22,7 +22,7 @@ wrappers, no autograd bookkeeping.  Four ideas keep them fast:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,12 @@ class BufferCache:
     fixed-capacity buffer per slot, retired by the engine on replan via
     :meth:`drop_arena`.  Evicted buffers stay alive for as long as callers
     hold views into them — eviction only releases the cache's own reference.
+
+    The cache also holds the engine's bound programs (see
+    :meth:`InferencePlan.bind <repro.runtime.plan.InferencePlan.bind>`) in
+    :attr:`programs`.  A program holds views of the buffers it was bound
+    to, so every release of a buffer — an LRU eviction, :meth:`drop_arena`
+    or :meth:`clear` — drops them all.
     """
 
     #: Tag prefix of arena slot buffers: exempt from LRU eviction and from
@@ -74,6 +80,11 @@ class BufferCache:
         self._nbytes = 0
         self._scratch_nbytes = 0
         self.max_bytes = max_bytes
+        #: Bound programs, keyed by the engine that binds them.
+        self.programs: Dict[Tuple, list] = {}
+        #: LRU evictions so far: a program bound while one happened may hold
+        #: a buffer the cache no longer owns, so the engine does not keep it.
+        self.evictions = 0
 
     def get(self, tag: str, shape: Tuple[int, ...],
             dtype=np.float32) -> np.ndarray:
@@ -96,6 +107,8 @@ class BufferCache:
                 dropped = self._buffers.pop(oldest)
                 self._nbytes -= dropped.nbytes
                 self._scratch_nbytes -= dropped.nbytes
+                self.evictions += 1
+                self.programs.clear()
         return buffer
 
     def drop_arena(self) -> None:
@@ -103,11 +116,13 @@ class BufferCache:
         for key in list(self._buffers):
             if key[0].startswith(self.ARENA_PREFIX):
                 self._nbytes -= self._buffers.pop(key).nbytes
+        self.programs.clear()
 
     def clear(self) -> None:
         self._buffers.clear()
         self._nbytes = 0
         self._scratch_nbytes = 0
+        self.programs.clear()
 
     def check_invariants(self) -> None:
         """Verify the byte counters against the held buffers (tests only).
@@ -153,13 +168,60 @@ def sliding_window_view(x: np.ndarray, kh: int, kw: int,
         writeable=False)
 
 
-def pad_cached(x: np.ndarray, padding: int,
-               cache: Optional[BufferCache] = None) -> np.ndarray:
-    """Zero-pad ``x`` spatially into a cached buffer.
+def _constant(constants: Optional[dict], key, make: Callable):
+    """A per-step constant, made once and shared through ``constants``.
 
-    Only the halo ring is rezeroed on reuse: the interior is fully
-    overwritten below, and the ring must be cleared every call because the
-    cached buffer may hold a stale halo from a layer with a different
+    ``constants`` is one step's dict of derived weights (casts to the
+    accumulation dtype); every program an engine binds for the step shares
+    it.  ``None`` makes the constant for this binding alone.
+    """
+    if constants is None:
+        return make()
+    value = constants.get(key)
+    if value is None:
+        value = constants[key] = make()
+    return value
+
+
+def _destination(out: Optional[np.ndarray], shape: Tuple[int, ...],
+                 flat_shape: Tuple[int, ...], dtype) -> Callable:
+    """``() -> (result, flat)`` for a bound call's output.
+
+    With ``out`` the two views of it are made once and returned on every
+    call, so the next step can bind to the same objects; without it each
+    call gets a fresh array, since the caller keeps the result.
+    """
+    if out is not None:
+        views = (out.reshape(shape), out.reshape(flat_shape))
+        return lambda: views
+
+    def fresh():
+        result = np.empty(shape, dtype=dtype)
+        return result, result.reshape(flat_shape)
+    return fresh
+
+
+def bind_reshape(x: np.ndarray, shape: Tuple[int, ...]) -> Callable:
+    """``view(x)``: ``x.reshape(shape)``, made once for the bound ``x``.
+
+    Only a C-contiguous ``x`` is reshaped ahead, since only then is the
+    reshape a view that sees later writes to ``x``.
+    """
+    if not x.flags.c_contiguous:
+        return lambda x: x.reshape(shape)
+    x0, view0 = x, x.reshape(shape)
+    return lambda x: view0 if x is x0 else x.reshape(shape)
+
+
+def bind_pad(x: np.ndarray, padding: int,
+             cache: Optional[BufferCache] = None
+             ) -> Tuple[Callable, np.ndarray]:
+    """Bind zero-padding of ``x``'s shape: ``(fill, padded)``.
+
+    ``fill(x)`` writes ``x`` into the interior of the ``padded`` buffer.
+    Only the halo ring is rezeroed on each call: the interior is fully
+    overwritten, and the ring must be cleared every call because a cached
+    buffer may hold a stale halo from a layer with a different
     ``(h, padding)`` split of the same padded shape.
 
     Coverage invariant (pinned by the mixed-padding poisoning test in
@@ -175,32 +237,78 @@ def pad_cached(x: np.ndarray, padding: int,
     padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
     if cache is not None:
         padded = cache.get("pad", padded_shape, x.dtype)
-        padded[:, :, :padding, :] = 0
-        padded[:, :, h + padding:, :] = 0
-        padded[:, :, padding:h + padding, :padding] = 0
-        padded[:, :, padding:h + padding, w + padding:] = 0
+        ring = (padded[:, :, :padding, :], padded[:, :, h + padding:, :],
+                padded[:, :, padding:h + padding, :padding],
+                padded[:, :, padding:h + padding, w + padding:])
     else:
         padded = np.zeros(padded_shape, dtype=x.dtype)
-    padded[:, :, padding:padding + h, padding:padding + w] = x
+        ring = ()
+    interior = padded[:, :, padding:padding + h, padding:padding + w]
+
+    def fill(x):
+        for strip in ring:
+            strip[...] = 0
+        interior[...] = x
+    return fill, padded
+
+
+def pad_cached(x: np.ndarray, padding: int,
+               cache: Optional[BufferCache] = None) -> np.ndarray:
+    """Zero-pad ``x`` spatially into a cached buffer (see :func:`bind_pad`)."""
+    fill, padded = bind_pad(x, padding, cache)
+    fill(x)
     return padded
 
 
-def im2col_cached(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-                  cache: Optional[BufferCache] = None) -> np.ndarray:
-    """im2col into a cached contiguous buffer of shape (N, C, kh*kw, oh*ow)."""
-    n, c, h, w = x.shape
+def _bind_windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+                  cache: Optional[BufferCache]) -> Callable:
+    """``window(x)``: the (padded) window view of ``x``, bound once if it can be.
+
+    With padding the view is of the bound pad buffer, made once; without
+    it the view is of ``x`` itself, made once for the bound ``x``.
+    """
     if padding > 0:
-        x = pad_cached(x, padding, cache)
+        fill, padded = bind_pad(x, padding, cache)
+        view = sliding_window_view(padded, kh, kw, stride)
+
+        def window(x):
+            fill(x)
+            return view
+        return window
+    x0, view0 = x, sliding_window_view(x, kh, kw, stride)
+    return lambda x: view0 if x is x0 else sliding_window_view(x, kh, kw,
+                                                               stride)
+
+
+def bind_im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+                cache: Optional[BufferCache] = None
+                ) -> Tuple[Callable, np.ndarray]:
+    """Bind im2col of ``x``'s shape: ``(fill, cols)``.
+
+    ``fill(x)`` writes the columns of ``x`` into the contiguous ``cols``
+    buffer of shape (N, C, kh*kw, oh*ow).
+    """
+    n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    view = sliding_window_view(x, kh, kw, stride)
+    window = _bind_windows(x, kh, kw, stride, padding, cache)
     cols_shape = (n, c, kh, kw, out_h, out_w)
     if cache is not None:
         cols = cache.get("col", cols_shape, x.dtype)
     else:
         cols = np.empty(cols_shape, dtype=x.dtype)
-    np.copyto(cols, view)
-    return cols.reshape(n, c, kh * kw, out_h * out_w)
+
+    def fill(x):
+        np.copyto(cols, window(x))
+    return fill, cols.reshape(n, c, kh * kw, out_h * out_w)
+
+
+def im2col_cached(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+                  cache: Optional[BufferCache] = None) -> np.ndarray:
+    """im2col into a cached contiguous buffer of shape (N, C, kh*kw, oh*ow)."""
+    fill, cols = bind_im2col(x, kh, kw, stride, padding, cache)
+    fill(x)
+    return cols
 
 
 def is_depthwise(weight: np.ndarray, groups: int) -> bool:
@@ -211,6 +319,33 @@ def is_depthwise(weight: np.ndarray, groups: int) -> bool:
     :func:`depthwise_conv`.
     """
     return weight.shape[1] == 1 and groups == weight.shape[0]
+
+
+def bind_depthwise(x: np.ndarray, weight: np.ndarray, stride: int = 1,
+                   padding: int = 0, cache: Optional[BufferCache] = None
+                   ) -> Callable:
+    """Bind the NumPy depthwise tap loop; returns ``call(x, out)``.
+
+    See :func:`depthwise_conv`.  The per-tap window slices and weight
+    columns are cut once here.
+    """
+    c = x.shape[1]
+    kh, kw = weight.shape[2], weight.shape[3]
+    taps = weight.reshape(c, kh, kw)
+    columns = [taps[:, i, j].reshape(1, c, 1, 1)
+               for i, j in (divmod(tap, kw) for tap in range(kh * kw))]
+    window = _bind_windows(x, kh, kw, stride, padding, cache)
+
+    def call(x, out):
+        view = window(x)
+        np.multiply(view[:, :, 0, 0], columns[0], out=out)
+        product = np.empty(out.shape, dtype=out.dtype)
+        for tap in range(1, kh * kw):
+            i, j = divmod(tap, kw)
+            np.multiply(view[:, :, i, j], columns[tap], out=product)
+            out += product
+        return out
+    return call
 
 
 def depthwise_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1,
@@ -234,22 +369,79 @@ def depthwise_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1,
     """
     n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
+    if out is None:
+        out = np.empty((n, c, conv_output_size(h, kh, stride, padding),
+                        conv_output_size(w, kw, stride, padding)),
+                       dtype=weight.dtype)
+    return bind_depthwise(x, weight, stride, padding, cache)(x, out)
+
+
+def bind_conv(x: np.ndarray, weight: np.ndarray,
+              bias: Optional[np.ndarray] = None, stride: int = 1,
+              padding: int = 0, groups: int = 1, act: Optional[str] = None,
+              cache: Optional[BufferCache] = None,
+              out: Optional[np.ndarray] = None) -> Callable:
+    """Bind :func:`fused_conv` for ``x``'s shape; returns ``call(x)``."""
+    n, c, h, w = x.shape
+    out_c, c_per_group, kh, kw = weight.shape
+    if c != c_per_group * groups:
+        raise ValueError(
+            f"input channels ({c}) incompatible with weight {weight.shape} "
+            f"and groups={groups}")
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        x = pad_cached(x, padding, cache)
-    view = sliding_window_view(x, kh, kw, stride)
-    taps = weight.reshape(c, kh, kw)
-    if out is None:
-        out = np.empty((n, c, out_h, out_w), dtype=weight.dtype)
-    np.multiply(view[:, :, 0, 0], taps[:, 0, 0].reshape(1, c, 1, 1), out=out)
-    product = np.empty(out.shape, dtype=out.dtype)
-    for tap in range(1, kh * kw):
-        i, j = divmod(tap, kw)
-        np.multiply(view[:, :, i, j], taps[:, i, j].reshape(1, c, 1, 1),
-                    out=product)
-        out += product
-    return out
+    spatial = out_h * out_w
+    destination = _destination(out, (n, out_c, out_h, out_w),
+                               (n, out_c, spatial), np.float32)
+    if is_depthwise(weight, groups):
+        kernel = native.bind_depthwise_f32(x, weight, bias, stride, padding,
+                                           act, cache, out)
+        if kernel is not None:
+            def call(x):
+                result, _ = destination()
+                kernel(x, result)
+                return result
+            return call
+        taps = bind_depthwise(x, weight, stride, padding, cache)
+
+        def product(x, dest, result):
+            taps(x, result)
+    elif kh == 1 and kw == 1 and stride == 1 and padding == 0 \
+            and groups == 1:
+        matrix = weight.reshape(out_c, c)
+        rows = bind_reshape(x, (n, c, spatial))
+
+        def product(x, dest, result):
+            np.matmul(matrix, rows(x), out=dest)
+    elif groups == 1:
+        fill, cols = bind_im2col(x, kh, kw, stride, padding, cache)
+        matrix = weight.reshape(out_c, c * kh * kw)
+        rows = cols.reshape(n, c * kh * kw, spatial)
+
+        def product(x, dest, result):
+            fill(x)
+            np.matmul(matrix, rows, out=dest)
+    else:
+        fill, cols = bind_im2col(x, kh, kw, stride, padding, cache)
+        cols_g = cols.reshape(n, groups, c_per_group * kh * kw, spatial)
+        weight_g = weight.reshape(groups, out_c // groups,
+                                  c_per_group * kh * kw)
+        grouped = (n, groups, out_c // groups, spatial)
+
+        def product(x, dest, result):
+            fill(x)
+            np.einsum("gok,ngkl->ngol", weight_g, cols_g, optimize=True,
+                      out=dest.reshape(grouped))
+    shift = None if bias is None else bias.reshape(1, out_c, 1)
+
+    def call(x):
+        result, dest = destination()
+        product(x, dest, result)
+        if shift is not None:
+            dest += shift
+        apply_activation(dest, act)
+        return result
+    return call
 
 
 def fused_conv(x: np.ndarray, weight: np.ndarray,
@@ -266,45 +458,8 @@ def fused_conv(x: np.ndarray, weight: np.ndarray,
     it and the bias + activation epilogue runs in place — the kernel then
     allocates nothing.
     """
-    n, c, h, w = x.shape
-    out_c, c_per_group, kh, kw = weight.shape
-    if c != c_per_group * groups:
-        raise ValueError(
-            f"input channels ({c}) incompatible with weight {weight.shape} "
-            f"and groups={groups}")
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    spatial = out_h * out_w
-
-    if out is None:
-        out = np.empty((n, out_c, spatial), dtype=np.float32)
-    dest = out.reshape(n, out_c, spatial)
-    pointwise = (kh == 1 and kw == 1 and stride == 1 and padding == 0
-                 and groups == 1)
-    depthwise = is_depthwise(weight, groups)
-    if pointwise:
-        np.matmul(weight.reshape(out_c, c), x.reshape(n, c, spatial), out=dest)
-    elif depthwise:
-        if native.depthwise_f32(x, weight, bias, stride, padding, act, cache,
-                                dest):
-            return dest.reshape(n, out_c, out_h, out_w)
-        depthwise_conv(x, weight, stride=stride, padding=padding, cache=cache,
-                       out=dest.reshape(n, out_c, out_h, out_w))
-    elif groups == 1:
-        cols = im2col_cached(x, kh, kw, stride, padding, cache)
-        np.matmul(weight.reshape(out_c, c * kh * kw),
-                  cols.reshape(n, c * kh * kw, spatial), out=dest)
-    else:
-        cols = im2col_cached(x, kh, kw, stride, padding, cache)
-        cols_g = cols.reshape(n, groups, c_per_group * kh * kw, spatial)
-        weight_g = weight.reshape(groups, out_c // groups,
-                                  c_per_group * kh * kw)
-        np.einsum("gok,ngkl->ngol", weight_g, cols_g, optimize=True,
-                  out=dest.reshape(n, groups, out_c // groups, spatial))
-    if bias is not None:
-        dest += bias.reshape(1, out_c, 1)
-    apply_activation(dest, act)
-    return dest.reshape(n, out_c, out_h, out_w)
+    return bind_conv(x, weight, bias, stride, padding, groups, act, cache,
+                     out)(x)
 
 
 def fused_linear(x: np.ndarray, weight: np.ndarray,
@@ -421,12 +576,58 @@ def requantize_codes(q: np.ndarray, in_scale: float, out_scale: float,
     arithmetic replicates the chain step for step, so the fusion is
     bit-exact.
     """
-    if cache is not None:
-        floats = cache.get("rqc", q.shape, np.float32)
-        dequantize_int8(q, in_scale, out=floats)
-    else:
-        floats = dequantize_int8(q, in_scale)
-    return quantize_int8(floats, out_scale, out=out)
+    return bind_requantize_codes(q, in_scale, out_scale, cache, out)(q)
+
+
+def bind_requantize_codes(q: np.ndarray, in_scale: float, out_scale: float,
+                          cache: Optional[BufferCache] = None,
+                          out: Optional[np.ndarray] = None) -> Callable:
+    """Bind :func:`requantize_codes` for ``q``'s shape; returns ``call(q)``."""
+    floats = cache.get("rqc", q.shape, np.float32) if cache is not None \
+        else None
+
+    def call(q):
+        return quantize_int8(dequantize_int8(q, in_scale, out=floats),
+                             out_scale, out=out)
+    return call
+
+
+def bind_add(x_shape: Tuple[int, ...], y_shape: Tuple[int, ...],
+             in_scale_x: Optional[float] = None,
+             in_scale_y: Optional[float] = None,
+             act: Optional[str] = None, out_scale: Optional[float] = None,
+             cache: Optional[BufferCache] = None,
+             out: Optional[np.ndarray] = None) -> Callable:
+    """Bind :func:`fused_add` for operands of these shapes; ``call(x, y)``."""
+    def scratch(tag, shape):
+        return cache.get(tag, shape, np.float32) if cache is not None \
+            else None
+    floats_x = scratch("addx", x_shape) if in_scale_x is not None else None
+    floats_y = scratch("addy", y_shape) if in_scale_y is not None else None
+    if out_scale is None:
+        def call(x, y):
+            if in_scale_x is not None:
+                x = dequantize_int8(x, in_scale_x, out=floats_x)
+            if in_scale_y is not None:
+                y = dequantize_int8(y, in_scale_y, out=floats_y)
+            result = out if out is not None \
+                else np.empty(x.shape, dtype=np.float32)
+            np.add(x, y, out=result)
+            return apply_activation(result, act)
+        return call
+    total = scratch("addsum", x_shape)
+
+    def call(x, y):
+        if in_scale_x is not None:
+            x = dequantize_int8(x, in_scale_x, out=floats_x)
+        if in_scale_y is not None:
+            y = dequantize_int8(y, in_scale_y, out=floats_y)
+        summed = total if total is not None \
+            else np.empty(x.shape, dtype=np.float32)
+        np.add(x, y, out=summed)
+        apply_activation(summed, act)
+        return quantize_int8(summed, out_scale, out=out)
+    return call
 
 
 def fused_add(x: np.ndarray, y: np.ndarray,
@@ -444,24 +645,8 @@ def fused_add(x: np.ndarray, y: np.ndarray,
     neighbour replays the arithmetic of the standalone plan step, so fusing
     never moves a bit — it only removes full-size intermediate registers.
     """
-    if in_scale_x is not None:
-        buffer = cache.get("addx", x.shape, np.float32) if cache is not None \
-            else None
-        x = dequantize_int8(x, in_scale_x, out=buffer)
-    if in_scale_y is not None:
-        buffer = cache.get("addy", y.shape, np.float32) if cache is not None \
-            else None
-        y = dequantize_int8(y, in_scale_y, out=buffer)
-    if out_scale is None:
-        if out is None:
-            out = np.empty(x.shape, dtype=np.float32)
-        np.add(x, y, out=out)
-        return apply_activation(out, act)
-    total = cache.get("addsum", x.shape, np.float32) if cache is not None \
-        else np.empty(x.shape, dtype=np.float32)
-    np.add(x, y, out=total)
-    apply_activation(total, act)
-    return quantize_int8(total, out_scale, out=out)
+    return bind_add(x.shape, y.shape, in_scale_x, in_scale_y, act, out_scale,
+                    cache, out)(x, y)
 
 
 def int_global_avg_pool(q: np.ndarray, scale: float,
@@ -522,19 +707,6 @@ def _acc_dtype(bound: int):
     return np.float32 if bound < _F32_EXACT_LIMIT else np.float64
 
 
-def _cast_cached(x: np.ndarray, dtype, tag: str,
-                 cache: Optional[BufferCache]) -> np.ndarray:
-    """Cast ``x`` into a cached buffer of ``dtype`` (exact for int8 sources)."""
-    if x.dtype == dtype:
-        return x
-    if cache is not None:
-        out = cache.get(tag, x.shape, dtype)
-    else:
-        out = np.empty(x.shape, dtype=dtype)
-    np.copyto(out, x)
-    return out
-
-
 def _conv_acc_dtype(weight_q: np.ndarray, acc_bound: Optional[int]):
     """Exact-GEMM dtype of an int8 conv; OverflowError past the int32 range."""
     bound = acc_bound if acc_bound is not None \
@@ -544,6 +716,83 @@ def _conv_acc_dtype(weight_q: np.ndarray, acc_bound: Optional[int]):
             f"int8 conv accumulator bound {bound} exceeds the int32 range; "
             f"the layer cannot run on 32-bit accumulators")
     return _acc_dtype(bound)
+
+
+def _scratch(cache: Optional[BufferCache], tag: str, shape: Tuple[int, ...],
+             dtype) -> np.ndarray:
+    if cache is not None:
+        return cache.get(tag, shape, dtype)
+    return np.empty(shape, dtype=dtype)
+
+
+def bind_accumulate(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
+                    padding: int = 0, groups: int = 1,
+                    cache: Optional[BufferCache] = None,
+                    acc_bound: Optional[int] = None,
+                    constants: Optional[dict] = None
+                    ) -> Tuple[Callable, np.ndarray]:
+    """Bind :func:`int_accumulate_conv` for ``q``'s shape: ``(fill, acc)``.
+
+    ``fill(q)`` writes the exact accumulator into the ``acc`` buffer.  The
+    int8 weights are cast to the accumulation dtype once, into
+    ``constants`` (see :func:`_constant`).
+    """
+    n, c, h, w = q.shape
+    out_c, c_per_group, kh, kw = weight_q.shape
+    if c != c_per_group * groups:
+        raise ValueError(
+            f"input channels ({c}) incompatible with weight {weight_q.shape} "
+            f"and groups={groups}")
+    dtype = _conv_acc_dtype(weight_q, acc_bound)
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    spatial = out_h * out_w
+    weight_f = _constant(constants, np.dtype(dtype).str,
+                         lambda: weight_q.astype(dtype))
+    acc = _scratch(cache, "qacc", (n, out_c, spatial), dtype)
+
+    if kh == 1 and kw == 1 and stride == 1 and padding == 0 and groups == 1:
+        # The exact cast of the codes into the GEMM dtype, then one GEMM.
+        rows = _scratch(cache, "qpw", (n, c, spatial), dtype)
+        codes = rows.reshape(q.shape)
+        matrix = weight_f.reshape(out_c, c)
+
+        def fill(q):
+            np.copyto(codes, q)
+            np.matmul(matrix, rows, out=acc)
+    elif is_depthwise(weight_q, groups):
+        # No im2col: per-tap multiply-accumulate on the window view.  Every
+        # product and partial sum is an exact integer below the mantissa
+        # limit, so the tap order cannot change a bit of the result.
+        taps = bind_depthwise(q, weight_f, stride, padding, cache)
+        grid = acc.reshape(n, out_c, out_h, out_w)
+
+        def fill(q):
+            taps(q, grid)
+    else:
+        fill_cols, cols = bind_im2col(q, kh, kw, stride, padding, cache)
+        cols_f = _scratch(cache, "qcol", cols.shape, dtype)
+        if groups == 1:
+            matrix = weight_f.reshape(out_c, c * kh * kw)
+            rows = cols_f.reshape(n, c * kh * kw, spatial)
+
+            def fill(q):
+                fill_cols(q)
+                np.copyto(cols_f, cols)
+                np.matmul(matrix, rows, out=acc)
+        else:
+            cols_g = cols_f.reshape(n, groups, c_per_group * kh * kw,
+                                    spatial)
+            weight_g = weight_f.reshape(groups, out_c // groups,
+                                        c_per_group * kh * kw)
+            acc_g = acc.reshape(n, groups, out_c // groups, spatial)
+
+            def fill(q):
+                fill_cols(q)
+                np.copyto(cols_f, cols)
+                np.einsum("gok,ngkl->ngol", weight_g, cols_g, optimize=True,
+                          out=acc_g)
+    return fill, acc
 
 
 def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
@@ -558,47 +807,62 @@ def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
     batch split, BLAS threading or summation order.  Returns the integer
     accumulator as a float array of shape ``(N, out_c, spatial)``.
     """
-    n, c, h, w = q.shape
-    out_c, c_per_group, kh, kw = weight_q.shape
-    if c != c_per_group * groups:
-        raise ValueError(
-            f"input channels ({c}) incompatible with weight {weight_q.shape} "
-            f"and groups={groups}")
-    dtype = _conv_acc_dtype(weight_q, acc_bound)
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    spatial = out_h * out_w
-
-    pointwise = (kh == 1 and kw == 1 and stride == 1 and padding == 0
-                 and groups == 1)
-    depthwise = is_depthwise(weight_q, groups)
-    weight_f = weight_q.astype(dtype)
-    if cache is not None:
-        acc = cache.get("qacc", (n, out_c, spatial), dtype)
-    else:
-        acc = np.empty((n, out_c, spatial), dtype=dtype)
-    if pointwise:
-        x_f = _cast_cached(q.reshape(n, c, spatial), dtype, "qpw", cache)
-        np.matmul(weight_f.reshape(out_c, c), x_f, out=acc)
-    elif depthwise:
-        # Fast path: no im2col — per-tap multiply-accumulate on the window
-        # view.  Every product and partial sum is an exact integer below the
-        # mantissa limit, so the tap order cannot change a bit of the result.
-        depthwise_conv(q, weight_f, stride=stride, padding=padding,
-                       cache=cache, out=acc.reshape(n, out_c, out_h, out_w))
-    else:
-        cols = im2col_cached(q, kh, kw, stride, padding, cache)
-        cols_f = _cast_cached(cols, dtype, "qcol", cache)
-        if groups == 1:
-            np.matmul(weight_f.reshape(out_c, c * kh * kw),
-                      cols_f.reshape(n, c * kh * kw, spatial), out=acc)
-        else:
-            cols_g = cols_f.reshape(n, groups, c_per_group * kh * kw, spatial)
-            weight_g = weight_f.reshape(groups, out_c // groups,
-                                        c_per_group * kh * kw)
-            np.einsum("gok,ngkl->ngol", weight_g, cols_g, optimize=True,
-                      out=acc.reshape(n, groups, out_c // groups, spatial))
+    fill, acc = bind_accumulate(q, weight_q, stride, padding, groups, cache,
+                                acc_bound)
+    fill(q)
     return acc
+
+
+def bind_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
+               multiplier: np.ndarray, stride: int = 1, padding: int = 0,
+               groups: int = 1, qmin: int = INT8_QMIN, qmax: int = INT8_QMAX,
+               cache: Optional[BufferCache] = None,
+               acc_bound: Optional[int] = None,
+               out: Optional[np.ndarray] = None,
+               constants: Optional[dict] = None) -> Callable:
+    """Bind :func:`fused_qconv` for ``q``'s shape; returns ``call(q)``."""
+    n = q.shape[0]
+    out_c, _, kh, kw = weight_q.shape
+    out_h = conv_output_size(q.shape[2], kh, stride, padding)
+    out_w = conv_output_size(q.shape[3], kw, stride, padding)
+    destination = _destination(out, (n, out_c, out_h, out_w),
+                               (n, out_c, out_h * out_w), np.int8)
+    if is_depthwise(weight_q, groups) \
+            and _conv_acc_dtype(weight_q, acc_bound) == np.float32:
+        kernel = native.bind_depthwise_s8(q, weight_q, bias_q, multiplier,
+                                          stride, padding, qmin, qmax, cache,
+                                          out)
+        if kernel is not None:
+            def call(q):
+                result, _ = destination()
+                kernel(q, result)
+                return result
+            return call
+    fill, acc = bind_accumulate(q, weight_q, stride, padding, groups, cache,
+                                acc_bound, constants)
+    kernel = native.bind_requantize(acc, bias_q, multiplier, qmin, qmax, out)
+    if kernel is not None:
+        def call(q):
+            fill(q)
+            result, _ = destination()
+            kernel(acc, result)
+            return result
+        return call
+    shift = bias_q.astype(acc.dtype).reshape(1, out_c, 1)
+    scale = multiplier.reshape(1, out_c, 1)
+
+    def call(q):
+        fill(q)
+        np.add(acc, shift, out=acc)
+        # float32 * float64 promotes each product to float64 exactly — no
+        # explicit astype copy needed on the hot path.
+        scaled = acc * scale
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, qmin, qmax, out=scaled)
+        result, codes = destination()
+        np.copyto(codes, scaled, casting="unsafe")
+        return result
+    return call
 
 
 def fused_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
@@ -615,30 +879,49 @@ def fused_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
     ``qmax=round(6/scale)`` capped at 127 for ReLU6).  With float32
     accumulators the C kernels run the depthwise conv and the epilogue.
     """
+    return bind_qconv(q, weight_q, bias_q, multiplier, stride, padding,
+                      groups, qmin, qmax, cache, acc_bound, out)(q)
+
+
+def bind_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
+                       dequant: np.ndarray, bias: Optional[np.ndarray] = None,
+                       stride: int = 1, padding: int = 0, groups: int = 1,
+                       act: Optional[str] = None,
+                       cache: Optional[BufferCache] = None,
+                       acc_bound: Optional[int] = None,
+                       out: Optional[np.ndarray] = None,
+                       constants: Optional[dict] = None) -> Callable:
+    """Bind :func:`fused_qconv_dequant` for ``q``'s shape; ``call(q)``."""
     n = q.shape[0]
-    out_c, _, kh, kw = weight_q.shape
+    out_c = weight_q.shape[0]
+    fill, acc = bind_accumulate(q, weight_q, stride, padding, groups, cache,
+                                acc_bound, constants)
+    kh, kw = weight_q.shape[2], weight_q.shape[3]
     out_h = conv_output_size(q.shape[2], kh, stride, padding)
     out_w = conv_output_size(q.shape[3], kw, stride, padding)
-    if out is None:
-        out = np.empty((n, out_c, out_h, out_w), dtype=np.int8)
-    codes = out.reshape(n, out_c, out_h * out_w)
-    if is_depthwise(weight_q, groups) \
-            and _conv_acc_dtype(weight_q, acc_bound) == np.float32 \
-            and native.depthwise_s8(q, weight_q, bias_q, multiplier, stride,
-                                    padding, qmin, qmax, cache, codes):
-        return codes.reshape(n, out_c, out_h, out_w)
-    acc = int_accumulate_conv(q, weight_q, stride=stride, padding=padding,
-                              groups=groups, cache=cache, acc_bound=acc_bound)
-    if native.requantize(acc, bias_q, multiplier, qmin, qmax, codes):
-        return codes.reshape(n, out_c, out_h, out_w)
-    acc += bias_q.astype(acc.dtype).reshape(1, out_c, 1)
-    # float32 * float64 promotes each product to float64 exactly — no
-    # explicit astype copy needed on the hot path.
-    scaled = acc * multiplier.reshape(1, out_c, 1)
-    np.rint(scaled, out=scaled)
-    np.clip(scaled, qmin, qmax, out=scaled)
-    np.copyto(codes, scaled, casting="unsafe")
-    return codes.reshape(n, out_c, out_h, out_w)
+    destination = _destination(out, (n, out_c, out_h, out_w),
+                               (n, out_c, out_h * out_w), np.float32)
+    kernel = native.bind_dequantize(acc, dequant, bias, act, out)
+    if kernel is not None:
+        def call(q):
+            fill(q)
+            result, _ = destination()
+            kernel(acc, result)
+            return result
+        return call
+    scale = dequant.reshape(1, out_c, 1)
+    shift = None if bias is None else bias.reshape(1, out_c, 1)
+
+    def call(q):
+        fill(q)
+        scaled = acc * scale
+        result, dest = destination()
+        np.copyto(dest, scaled, casting="unsafe")
+        if shift is not None:
+            dest += shift
+        apply_activation(dest, act)
+        return result
+    return call
 
 
 def fused_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
@@ -656,24 +939,38 @@ def fused_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
     float bias is added on top.  With float32 accumulators the epilogue runs
     in C.
     """
-    n = q.shape[0]
-    out_c = weight_q.shape[0]
-    acc = int_accumulate_conv(q, weight_q, stride=stride, padding=padding,
-                              groups=groups, cache=cache, acc_bound=acc_bound)
-    kh, kw = weight_q.shape[2], weight_q.shape[3]
-    out_h = conv_output_size(q.shape[2], kh, stride, padding)
-    out_w = conv_output_size(q.shape[3], kw, stride, padding)
-    if out is None:
-        out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
-    dest = out.reshape(n, out_c, out_h * out_w)
-    if native.dequantize(acc, dequant, bias, act, dest):
-        return dest.reshape(n, out_c, out_h, out_w)
-    scaled = acc * dequant.reshape(1, out_c, 1)
-    np.copyto(dest, scaled, casting="unsafe")
-    if bias is not None:
-        dest += bias.reshape(1, out_c, 1)
-    apply_activation(dest, act)
-    return dest.reshape(n, out_c, out_h, out_w)
+    return bind_qconv_dequant(q, weight_q, dequant, bias, stride, padding,
+                              groups, act, cache, acc_bound, out)(q)
+
+
+def bind_qlinear(q: np.ndarray, weight_q: np.ndarray, dequant: np.ndarray,
+                 bias: Optional[np.ndarray] = None,
+                 act: Optional[str] = None,
+                 out: Optional[np.ndarray] = None,
+                 acc_bound: Optional[int] = None,
+                 constants: Optional[dict] = None) -> Callable:
+    """Bind :func:`fused_qlinear`; returns ``call(q)``."""
+    bound = acc_bound if acc_bound is not None \
+        else conv_accumulator_bound(weight_q)
+    if bound > INT32_ACC_LIMIT:
+        raise OverflowError(
+            f"int8 linear accumulator bound {bound} exceeds the int32 range")
+    dtype = _acc_dtype(bound)
+    weight_t = _constant(constants, np.dtype(dtype).str,
+                         lambda: weight_q.T.astype(dtype))
+    scale = dequant.reshape(1, -1)
+
+    def call(q):
+        scaled = np.matmul(q.astype(dtype), weight_t) * scale
+        if out is None:
+            dest = scaled.astype(np.float32)
+        else:
+            dest = out
+            np.copyto(dest, scaled, casting="unsafe")
+        if bias is not None:
+            dest += bias
+        return apply_activation(dest, act)
+    return call
 
 
 def fused_qlinear(q: np.ndarray, weight_q: np.ndarray, dequant: np.ndarray,
@@ -689,22 +986,7 @@ def fused_qlinear(q: np.ndarray, weight_q: np.ndarray, dequant: np.ndarray,
     the compiled worst-case accumulator (recomputed from ``weight_q`` when
     omitted).
     """
-    bound = acc_bound if acc_bound is not None \
-        else conv_accumulator_bound(weight_q)
-    if bound > INT32_ACC_LIMIT:
-        raise OverflowError(
-            f"int8 linear accumulator bound {bound} exceeds the int32 range")
-    dtype = _acc_dtype(bound)
-    acc = np.matmul(q.astype(dtype), weight_q.T.astype(dtype))
-    scaled = acc * dequant.reshape(1, -1)
-    if out is None:
-        dest = scaled.astype(np.float32)
-    else:
-        dest = out
-        np.copyto(dest, scaled, casting="unsafe")
-    if bias is not None:
-        dest += bias
-    return apply_activation(dest, act)
+    return bind_qlinear(q, weight_q, dequant, bias, act, out, acc_bound)(q)
 
 
 def quantize_unit_rows(matrix: np.ndarray) -> np.ndarray:

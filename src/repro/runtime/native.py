@@ -22,20 +22,28 @@ FMA, which rounds once instead of twice and moves float32 bits; it has no
 ``-ffast-math`` (reassociation) and no ``-march=native`` (a cached library
 built with it can fault on another CPU, and it measured no faster).
 
-When there is no compiler, or the build or load fails, every wrapper
-returns False and the caller runs its NumPy code: the same bits, slower.
-:func:`available` says which path runs, and :data:`build_error` holds the
-compiler's message.  Each wrapper checks the dtype, C-contiguity and size
-of every array before handing its pointer to C.
+Each kernel has a binder (``bind_depthwise_f32`` and friends) that checks
+the dtype, C-contiguity and size of every array once, works out every
+pointer and integer argument, and returns ``call(x, out)``.  The call
+passes the bound addresses when ``x`` and ``out`` are the arrays it was
+bound with (arena views are, on every replay of a program) and checks any
+other array before taking its address; it holds a reference to every array
+whose address it passes.  The kernel is looked up on the library at call
+time, so a test can replace it.  The plain wrappers (:func:`depthwise_f32`
+and friends) bind and call once.
+
+When there is no compiler, or the build or load fails, every binder
+returns None (every wrapper False) and the caller runs its NumPy code: the
+same bits, slower.  :func:`available` says which path runs, and
+:data:`build_error` holds the compiler's message.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import weakref
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -149,22 +157,17 @@ def _ok(array: np.ndarray, dtype, size: int) -> bool:
             and array.size == size)
 
 
-#: Data addresses of long-lived arrays (plan weights, cached scratch),
-#: keyed by ``id`` and validated through a weak reference, so a recycled
-#: id never yields a stale pointer.  ``ndarray.ctypes.data`` costs over a
-#: microsecond per array, a sizeable share of a small kernel call.
-_addresses: Dict[int, Tuple[weakref.ref, int]] = {}
+def _data(array: np.ndarray, dtype, size: int) -> int:
+    """Address of an operand a bound call did not see when it was bound.
 
-
-def _address(array: np.ndarray) -> int:
-    key = id(array)
-    entry = _addresses.get(key)
-    if entry is not None and entry[0]() is array:
-        return entry[1]
-    address = array.ctypes.data
-    _addresses[key] = (weakref.ref(
-        array, lambda _ref, key=key: _addresses.pop(key, None)), address)
-    return address
+    Checked like the operands at bind time, so a changed operand can never
+    hand C a pointer it would misread.
+    """
+    if not _ok(array, dtype, size):
+        raise ValueError(f"a bound C kernel got a {array.dtype} array of "
+                         f"shape {array.shape}; it was bound for {size} "
+                         f"C-contiguous {np.dtype(dtype)} elements")
+    return array.ctypes.data
 
 
 def _scratch(cache, c: int, h: int, w: int, kh: int, kw: int,
@@ -179,84 +182,187 @@ def _scratch(cache, c: int, h: int, w: int, kh: int, kw: int,
     return np.empty(size, dtype=np.float32)
 
 
-def depthwise_f32(x: np.ndarray, weight: np.ndarray,
-                  bias: Optional[np.ndarray], stride: int, padding: int,
-                  act: Optional[str], cache, out: np.ndarray) -> bool:
-    """Float32 depthwise conv + bias + ``act`` into ``out``; False if not run."""
+def _operand(array: Optional[np.ndarray]) -> Tuple[Optional[np.ndarray], int]:
+    """``(array, address)`` of an operand as seen at bind time."""
+    return array, (0 if array is None else array.ctypes.data)
+
+
+def bind_depthwise_f32(x: np.ndarray, weight: np.ndarray,
+                       bias: Optional[np.ndarray], stride: int, padding: int,
+                       act: Optional[str], cache,
+                       out: Optional[np.ndarray]) -> Optional[Callable]:
+    """Bind the float32 depthwise conv + bias + ``act``; None if C can't run it.
+
+    Returns ``call(x, out)``.  ``out=None`` means every call brings its own
+    output array.
+    """
     lib = library()
     if lib is None or act not in _ACT_CODES:
-        return False
+        return None
     n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    if not (_ok(x, np.float32, x.size) and _ok(weight, np.float32, c * kh * kw)
+    x_size, out_size = x.size, n * c * out_h * out_w
+    if not (_ok(x, np.float32, x_size) and _ok(weight, np.float32, c * kh * kw)
             and (bias is None or _ok(bias, np.float32, c))
-            and _ok(out, np.float32, n * c * out_h * out_w)):
-        return False
+            and (out is None or _ok(out, np.float32, out_size))):
+        return None
     scratch = _scratch(cache, c, h, w, kh, kw, padding)
-    lib.depthwise_f32(x.ctypes.data, _address(weight),
-                      None if bias is None else _address(bias),
-                      out.ctypes.data, _address(scratch),
-                      n, c, h, w, kh, kw, stride, padding, _ACT_CODES[act])
+    x0, x_address = _operand(x)
+    out0, out_address = _operand(out)
+    weight_address = weight.ctypes.data
+    bias_address = None if bias is None else bias.ctypes.data
+    scratch_address = scratch.ctypes.data
+    act_code = _ACT_CODES[act]
+
+    def call(x, out):
+        lib.depthwise_f32(
+            x_address if x is x0 else _data(x, np.float32, x_size),
+            weight_address, bias_address,
+            out_address if out is out0 else _data(out, np.float32, out_size),
+            scratch_address, n, c, h, w, kh, kw, stride, padding, act_code)
+
+    call.arrays = (weight, bias, scratch)   # the addresses above point here
+    return call
+
+
+def bind_depthwise_s8(q: np.ndarray, weight_q: np.ndarray,
+                      bias_q: np.ndarray, multiplier: np.ndarray,
+                      stride: int, padding: int, qmin: int, qmax: int, cache,
+                      out: Optional[np.ndarray]) -> Optional[Callable]:
+    """Bind the int8 depthwise conv + requantization; None if C can't run it.
+
+    Returns ``call(q, out)``.  The caller guarantees an accumulator bound
+    below 2**24, the float32 exact-integer limit the kernel relies on.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    n, c, h, w = q.shape
+    kh, kw = weight_q.shape[2], weight_q.shape[3]
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    q_size, out_size = q.size, n * c * out_h * out_w
+    if not (_ok(q, np.int8, q_size) and _ok(weight_q, np.int8, c * kh * kw)
+            and _ok(bias_q, np.int32, c) and _ok(multiplier, np.float64, c)
+            and (out is None or _ok(out, np.int8, out_size))):
+        return None
+    scratch = _scratch(cache, c, h, w, kh, kw, padding)
+    q0, q_address = _operand(q)
+    out0, out_address = _operand(out)
+    constants = (weight_q.ctypes.data, bias_q.ctypes.data,
+                 multiplier.ctypes.data)
+    scratch_address = scratch.ctypes.data
+
+    def call(q, out):
+        lib.depthwise_s8(
+            q_address if q is q0 else _data(q, np.int8, q_size), *constants,
+            out_address if out is out0 else _data(out, np.int8, out_size),
+            scratch_address, n, c, h, w, kh, kw, stride, padding, qmin, qmax)
+
+    call.arrays = (weight_q, bias_q, multiplier, scratch)
+    return call
+
+
+def bind_requantize(acc: np.ndarray, bias_q: np.ndarray,
+                    multiplier: np.ndarray, qmin: int, qmax: int,
+                    out: Optional[np.ndarray]) -> Optional[Callable]:
+    """Bind ``fused_qconv``'s epilogue after a float32 ``(n, c, spatial)`` GEMM.
+
+    Returns ``call(acc, out)``, or None when C cannot run it.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    n, c, spatial = acc.shape
+    size = acc.size
+    if not (_ok(acc, np.float32, size) and _ok(bias_q, np.int32, c)
+            and _ok(multiplier, np.float64, c)
+            and (out is None or _ok(out, np.int8, size))):
+        return None
+    acc0, acc_address = _operand(acc)
+    out0, out_address = _operand(out)
+    constants = (bias_q.ctypes.data, multiplier.ctypes.data)
+
+    def call(acc, out):
+        lib.requantize(
+            acc_address if acc is acc0 else _data(acc, np.float32, size),
+            *constants,
+            out_address if out is out0 else _data(out, np.int8, size),
+            n, c, spatial, qmin, qmax)
+
+    call.arrays = (bias_q, multiplier)
+    return call
+
+
+def bind_dequantize(acc: np.ndarray, dequant: np.ndarray,
+                    bias: Optional[np.ndarray], act: Optional[str],
+                    out: Optional[np.ndarray]) -> Optional[Callable]:
+    """Bind ``fused_qconv_dequant``'s epilogue after a float32 GEMM.
+
+    Returns ``call(acc, out)``, or None when C cannot run it.
+    """
+    lib = library()
+    if lib is None or act not in _ACT_CODES:
+        return None
+    n, c, spatial = acc.shape
+    size = acc.size
+    if not (_ok(acc, np.float32, size) and _ok(dequant, np.float64, c)
+            and (bias is None or _ok(bias, np.float32, c))
+            and (out is None or _ok(out, np.float32, size))):
+        return None
+    acc0, acc_address = _operand(acc)
+    out0, out_address = _operand(out)
+    dequant_address = dequant.ctypes.data
+    bias_address = None if bias is None else bias.ctypes.data
+    act_code = _ACT_CODES[act]
+
+    def call(acc, out):
+        lib.dequantize(
+            acc_address if acc is acc0 else _data(acc, np.float32, size),
+            dequant_address, bias_address,
+            out_address if out is out0 else _data(out, np.float32, size),
+            n, c, spatial, act_code)
+
+    call.arrays = (dequant, bias)
+    return call
+
+
+def _run_once(call: Optional[Callable], x: np.ndarray,
+              out: np.ndarray) -> bool:
+    if call is None:
+        return False
+    call(x, out)
     return True
+
+
+def depthwise_f32(x: np.ndarray, weight: np.ndarray,
+                  bias: Optional[np.ndarray], stride: int, padding: int,
+                  act: Optional[str], cache, out: np.ndarray) -> bool:
+    """Float32 depthwise conv + bias + ``act`` into ``out``; False if not run."""
+    return _run_once(bind_depthwise_f32(x, weight, bias, stride, padding, act,
+                                        cache, out), x, out)
 
 
 def depthwise_s8(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
                  multiplier: np.ndarray, stride: int, padding: int,
                  qmin: int, qmax: int, cache, out: np.ndarray) -> bool:
-    """Int8 depthwise conv + requantization into ``out``; False if not run.
-
-    The caller guarantees an accumulator bound below 2**24, the float32
-    exact-integer limit the kernel relies on.
-    """
-    lib = library()
-    if lib is None:
-        return False
-    n, c, h, w = q.shape
-    kh, kw = weight_q.shape[2], weight_q.shape[3]
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    if not (_ok(q, np.int8, q.size) and _ok(weight_q, np.int8, c * kh * kw)
-            and _ok(bias_q, np.int32, c) and _ok(multiplier, np.float64, c)
-            and _ok(out, np.int8, n * c * out_h * out_w)):
-        return False
-    scratch = _scratch(cache, c, h, w, kh, kw, padding)
-    lib.depthwise_s8(q.ctypes.data, _address(weight_q), _address(bias_q),
-                     _address(multiplier), out.ctypes.data, _address(scratch),
-                     n, c, h, w, kh, kw, stride, padding, qmin, qmax)
-    return True
+    """Int8 depthwise conv + requantization into ``out``; False if not run."""
+    return _run_once(bind_depthwise_s8(q, weight_q, bias_q, multiplier,
+                                       stride, padding, qmin, qmax, cache,
+                                       out), q, out)
 
 
 def requantize(acc: np.ndarray, bias_q: np.ndarray, multiplier: np.ndarray,
                qmin: int, qmax: int, out: np.ndarray) -> bool:
     """``fused_qconv``'s epilogue from a float32 ``(n, c, spatial)`` GEMM."""
-    lib = library()
-    if lib is None:
-        return False
-    n, c, spatial = acc.shape
-    if not (_ok(acc, np.float32, acc.size) and _ok(bias_q, np.int32, c)
-            and _ok(multiplier, np.float64, c)
-            and _ok(out, np.int8, acc.size)):
-        return False
-    lib.requantize(_address(acc), _address(bias_q), _address(multiplier),
-                   out.ctypes.data, n, c, spatial, qmin, qmax)
-    return True
+    return _run_once(bind_requantize(acc, bias_q, multiplier, qmin, qmax,
+                                     out), acc, out)
 
 
 def dequantize(acc: np.ndarray, dequant: np.ndarray,
                bias: Optional[np.ndarray], act: Optional[str],
                out: np.ndarray) -> bool:
     """``fused_qconv_dequant``'s epilogue from a float32 GEMM result."""
-    lib = library()
-    if lib is None or act not in _ACT_CODES:
-        return False
-    n, c, spatial = acc.shape
-    if not (_ok(acc, np.float32, acc.size) and _ok(dequant, np.float64, c)
-            and (bias is None or _ok(bias, np.float32, c))
-            and _ok(out, np.float32, acc.size)):
-        return False
-    lib.dequantize(_address(acc), _address(dequant),
-                   None if bias is None else _address(bias),
-                   out.ctypes.data, n, c, spatial, _ACT_CODES[act])
-    return True
+    return _run_once(bind_dequantize(acc, dequant, bias, act, out), acc, out)

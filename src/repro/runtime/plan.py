@@ -9,16 +9,29 @@ branches do not pin activations longer than needed.
 Plans are produced by :mod:`repro.runtime.compiler` (which folds batch norm
 into the preceding convolution and fuses activations into their producer)
 and executed by :class:`repro.runtime.engine.InferenceEngine`.
+
+Execution binds each step before it runs it: the step's binder (one per op,
+in ``_BINDERS``) works out everything that does not change between calls —
+attributes, shapes, the C-or-NumPy choice, reshaped weights, scratch and
+arena views, the arguments of a C kernel — and returns a call that only
+does the arithmetic.  :meth:`InferencePlan.bind` runs a micro-batch while
+binding and returns the bound :data:`Program`; :meth:`InferencePlan.replay`
+runs a program on the next input of the same shape.  The engine keeps
+programs per execution context and batch size; :meth:`InferencePlan.execute`
+binds as it goes and keeps nothing.  Derived weights shared by every program
+of a step live with the engine, not on :class:`Step` or
+:class:`InferencePlan`, which snapshots pickle.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..nn.conv import conv_output_size
 from ..nn.modules import Module
 from ..nn.tensor import Tensor, no_grad
 from . import kernels
@@ -159,10 +172,12 @@ class InferencePlan:
                 profiler=None) -> np.ndarray:
         """Run the plan on one micro-batch of raw arrays.
 
-        With a matching :class:`~repro.runtime.optimizer.MemoryPlan` (and a
-        cache to own the arena buffers) every managed step writes its result
-        into a pre-assigned arena slot through the kernel ``out=`` paths —
-        same arithmetic, no per-step allocation.  ``record``, when given, is
+        Each step is bound to this call as execution reaches it (see
+        :meth:`bind`) and nothing is kept.  With a matching
+        :class:`~repro.runtime.optimizer.MemoryPlan` (and a cache to own the
+        arena buffers) every managed step writes its result into a
+        pre-assigned arena slot through the kernel ``out=`` paths — same
+        arithmetic, no per-step allocation.  ``record``, when given, is
         filled with each step output's ``(shape, dtype string)`` — the
         engine's way of collecting the shapes a memory plan needs without a
         synthetic dry run.
@@ -171,163 +186,272 @@ class InferencePlan:
         each step's wall time and bytes moved (inputs read + output
         written); ``None`` costs one comparison per step.
         """
-        registers: Dict[str, np.ndarray] = {self.input_register: x}
-        last_use = self.last_use()
+        return self.bind(x, cache, memory_plan, record=record,
+                         profiler=profiler)[0]
+
+    def bind(self, x: np.ndarray, cache: Optional[kernels.BufferCache],
+             memory_plan=None, record: Optional[Dict] = None,
+             profiler=None, constants: Optional[Dict[int, dict]] = None
+             ) -> Tuple[np.ndarray, "Program"]:
+        """Run the plan on ``x``, binding each step as execution reaches it.
+
+        Returns the output and the :data:`Program` of bound steps, which
+        :meth:`replay` runs on any later input of ``x``'s shape and dtype
+        in the same execution context (``cache``, memory plan, arena
+        generation and native library).  ``constants`` maps a step index to
+        the derived weights every program of that step shares (see
+        :func:`~repro.runtime.kernels._constant`); ``None`` derives them
+        for this binding alone.
+        """
         planned = memory_plan is not None and cache is not None \
             and x.ndim >= 1 and memory_plan.matches(x.shape[1:])
         batch = x.shape[0]
-        for index, step in enumerate(self.steps):
-            started = time.perf_counter() if profiler is not None else 0.0
+        last_use = self.last_use()
+        program: Program = []
+
+        def bind_step(index, step, inputs):
             if planned and step.output in memory_plan.alias_of:
-                source = registers[memory_plan.alias_of[step.output]]
-                value = source.reshape(batch, -1)
+                # An arena alias: the source register, flattened.
+                return kernels.bind_reshape(inputs[0], (batch, -1))
+            binder = _BINDERS.get(step.op)
+            if binder is None:
+                raise ValueError(f"unknown op {step.op!r} in step "
+                                 f"{step.name!r}")
+            out = memory_plan.out_view(step.output, batch, cache) \
+                if planned else None
+            shared = constants.setdefault(index, {}) \
+                if constants is not None else None
+            return binder(step, inputs, cache, out, shared)
+
+        for index, step in enumerate(self.steps):
+            # Registers read for the last time here, in first-read order.
+            free = tuple(dict.fromkeys(
+                register for register in step.inputs
+                if last_use.get(register, -1) <= index
+                and register != self.output_register))
+            program.append((None, step.inputs, step.output, free))
+        output = self._run(x, program, bind_step, record, profiler)
+        return output, program
+
+    def replay(self, program: "Program", x: np.ndarray,
+               profiler=None) -> np.ndarray:
+        """Run a program from :meth:`bind` on a new input of the same shape."""
+        return self._run(x, program, None, None, profiler)
+
+    def _run(self, x, program, bind_step, record, profiler) -> np.ndarray:
+        registers: Dict[str, np.ndarray] = {self.input_register: x}
+        for index, (call, inputs, output, free) in enumerate(program):
+            args = [registers[register] for register in inputs]
+            if bind_step is not None:
+                call = bind_step(index, self.steps[index], args)
+                program[index] = (call, inputs, output, free)
+            if profiler is None:
+                value = call(*args)
             else:
-                out = memory_plan.out_view(step.output, batch, cache) \
-                    if planned else None
-                value = _execute_step(step, registers, cache, out)
-            if profiler is not None:
-                moved = value.nbytes + sum(
-                    registers[reg].nbytes for reg in step.inputs
-                    if reg in registers)
+                started = time.perf_counter()
+                value = call(*args)
+                elapsed = time.perf_counter() - started
+                step = self.steps[index]
+                moved = value.nbytes + sum(array.nbytes for array in args)
                 profiler.record(self.name, index, step.op, step.name,
-                                time.perf_counter() - started, moved,
-                                kind=step.kind)
-            registers[step.output] = value
+                                elapsed, moved, kind=step.kind)
+            registers[output] = value
             if record is not None:
-                record[step.output] = (value.shape, value.dtype.str)
-            for register in step.inputs:
-                if last_use.get(register, -1) <= index and \
-                        register != self.output_register:
-                    registers.pop(register, None)
+                record[output] = (value.shape, value.dtype.str)
+            for register in free:
+                del registers[register]
         return registers[self.output_register]
 
 
-def _execute_step(step: Step, registers: Dict[str, np.ndarray],
-                  cache: Optional[kernels.BufferCache],
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    x = registers[step.inputs[0]]
-    op = step.op
-    if op == "conv":
-        return kernels.fused_conv(
-            x, step.arrays["weight"], step.arrays.get("bias"),
-            stride=step.attrs.get("stride", 1),
-            padding=step.attrs.get("padding", 0),
-            groups=step.attrs.get("groups", 1),
-            act=step.attrs.get("act"), cache=cache, out=out)
-    if op == "linear":
-        # Weights are read from the live module so in-place updates (e.g. the
-        # on-device FCR fine-tuning) are reflected without recompiling.
-        # Serialized plans (repro.serve snapshots) carry no module references;
-        # their weights are frozen into the step arrays instead.
-        module = step.module
-        if module is not None:
-            weight = module.weight.data
-            bias = module.bias.data if module.bias is not None else None
-        else:
-            weight = step.arrays["weight"]
-            bias = step.arrays.get("bias")
-        return kernels.fused_linear(x, weight, bias, act=step.attrs.get("act"),
-                                    out=out)
-    if op == "qconv":
-        return kernels.fused_qconv(
-            x, step.arrays["weight"], step.arrays["bias"],
-            step.arrays["multiplier"],
-            stride=step.attrs.get("stride", 1),
-            padding=step.attrs.get("padding", 0),
-            groups=step.attrs.get("groups", 1),
-            qmin=step.attrs.get("qmin", kernels.INT8_QMIN),
-            qmax=step.attrs.get("qmax", kernels.INT8_QMAX),
-            cache=cache, acc_bound=step.attrs.get("acc_bound"), out=out)
-    if op == "qconv_dequant":
-        return kernels.fused_qconv_dequant(
-            x, step.arrays["weight"], step.arrays["dequant"],
-            step.arrays.get("bias"),
-            stride=step.attrs.get("stride", 1),
-            padding=step.attrs.get("padding", 0),
-            groups=step.attrs.get("groups", 1),
-            act=step.attrs.get("act"), cache=cache,
-            acc_bound=step.attrs.get("acc_bound"), out=out)
-    if op == "qconv_add":
-        # Residual superfusion: the projection conv's dequantized result
-        # flows straight into the residual add.  Both halves run the exact
-        # kernels of the standalone ``qconv_dequant`` and fused ``add``
-        # steps, so the superfused step is bit-identical by construction;
-        # only the full-size float intermediate register disappears.
-        conv = kernels.fused_qconv_dequant(
-            x, step.arrays["weight"], step.arrays["dequant"],
-            step.arrays.get("bias"),
-            stride=step.attrs.get("stride", 1),
-            padding=step.attrs.get("padding", 0),
-            groups=step.attrs.get("groups", 1),
-            act=step.attrs.get("act"), cache=cache,
-            acc_bound=step.attrs.get("acc_bound"))
-        other = registers[step.inputs[1]]
-        other_scale = step.attrs.get("other_scale")
-        if step.attrs.get("position", 0) == 0:
-            operands = (conv, other)
-            scales = (None, other_scale)
-        else:
-            operands = (other, conv)
-            scales = (other_scale, None)
-        return kernels.fused_add(
-            operands[0], operands[1], in_scale_x=scales[0],
-            in_scale_y=scales[1], act=step.attrs.get("add_act"),
-            out_scale=step.attrs.get("out_scale"), cache=cache, out=out)
-    if op == "qlinear":
-        return kernels.fused_qlinear(x, step.arrays["weight"],
-                                     step.arrays["dequant"],
-                                     step.arrays.get("bias"),
-                                     act=step.attrs.get("act"), out=out,
-                                     acc_bound=step.attrs.get("acc_bound"))
-    if op == "quantize":
-        return kernels.quantize_int8(x, step.attrs["scale"], out=out)
-    if op == "dequantize":
-        return kernels.dequantize_int8(x, step.attrs["scale"], out=out)
-    if op == "requantize":
-        return kernels.requantize_float(x, step.attrs["scale"], out=out)
-    if op == "qrequantize":
-        return kernels.requantize_codes(x, step.attrs["in_scale"],
-                                        step.attrs["scale"], cache=cache,
-                                        out=out)
-    if op == "bn":
-        return kernels.batchnorm_inference(x, step.arrays["scale"],
-                                           step.arrays["shift"],
-                                           act=step.attrs.get("act"), out=out)
-    if op == "act":
-        if out is None:
-            return kernels.apply_activation(x.copy(), step.attrs["act"])
+#: A plan's steps bound to one execution context and batch size: per step
+#: ``(call, input registers, output register, registers to free)``.
+Program = List[Tuple[Optional[Callable], Tuple[str, ...], str,
+                     Tuple[str, ...]]]
+
+
+# ---------------------------------------------------------------------------
+# Step binders: ``(step, input arrays, cache, out, constants) -> call``.  A
+# binder works out everything that stays fixed between calls (attributes,
+# shapes, the C-or-NumPy choice, reshaped and cast weights, scratch and
+# arena views, C kernel arguments); the call it returns takes the step's
+# input arrays and does only the arithmetic.
+# ---------------------------------------------------------------------------
+def _conv_args(step: Step) -> dict:
+    attrs = step.attrs
+    return {"stride": attrs.get("stride", 1),
+            "padding": attrs.get("padding", 0),
+            "groups": attrs.get("groups", 1)}
+
+
+def _bind_conv(step, inputs, cache, out, constants):
+    return kernels.bind_conv(inputs[0], step.arrays["weight"],
+                             step.arrays.get("bias"), act=step.attrs.get("act"),
+                             cache=cache, out=out, **_conv_args(step))
+
+
+def _bind_linear(step, inputs, cache, out, constants):
+    act = step.attrs.get("act")
+    module = step.module
+    if module is None:
+        # Serialized plans (repro.serve snapshots) carry no module
+        # references; their weights are frozen into the step arrays.
+        weight, bias = step.arrays["weight"], step.arrays.get("bias")
+        return lambda x: kernels.fused_linear(x, weight, bias, act, out)
+
+    def call(x):
+        # Weights are read from the live module on every call, so in-place
+        # updates (e.g. the on-device FCR fine-tuning) are reflected
+        # without recompiling.
+        bias = module.bias
+        return kernels.fused_linear(x, module.weight.data,
+                                    None if bias is None else bias.data,
+                                    act, out)
+    return call
+
+
+def _bind_qconv(step, inputs, cache, out, constants):
+    arrays, attrs = step.arrays, step.attrs
+    return kernels.bind_qconv(
+        inputs[0], arrays["weight"], arrays["bias"], arrays["multiplier"],
+        qmin=attrs.get("qmin", kernels.INT8_QMIN),
+        qmax=attrs.get("qmax", kernels.INT8_QMAX), cache=cache,
+        acc_bound=attrs.get("acc_bound"), out=out, constants=constants,
+        **_conv_args(step))
+
+
+def _bind_qconv_dequant(step, inputs, cache, out, constants):
+    return kernels.bind_qconv_dequant(
+        inputs[0], step.arrays["weight"], step.arrays["dequant"],
+        step.arrays.get("bias"), act=step.attrs.get("act"), cache=cache,
+        acc_bound=step.attrs.get("acc_bound"), out=out, constants=constants,
+        **_conv_args(step))
+
+
+def _bind_qconv_add(step, inputs, cache, out, constants):
+    # Residual superfusion: the projection conv's dequantized result flows
+    # straight into the residual add.  Both halves run the exact kernels of
+    # the standalone ``qconv_dequant`` and fused ``add`` steps, so the
+    # superfused step is bit-identical by construction; only the full-size
+    # float intermediate register disappears.  The conv result is a fresh
+    # array on every call, as it was a register before.
+    x, other = inputs
+    conv = _bind_qconv_dequant(step, [x], cache, None, constants)
+    weight = step.arrays["weight"]
+    kh, kw = weight.shape[2], weight.shape[3]
+    stride, padding = step.attrs.get("stride", 1), step.attrs.get("padding", 0)
+    conv_shape = (x.shape[0], weight.shape[0],
+                  conv_output_size(x.shape[2], kh, stride, padding),
+                  conv_output_size(x.shape[3], kw, stride, padding))
+    other_scale = step.attrs.get("other_scale")
+    add_act, out_scale = step.attrs.get("add_act"), step.attrs.get("out_scale")
+    if step.attrs.get("position", 0) == 0:
+        add = kernels.bind_add(conv_shape, other.shape, None, other_scale,
+                               add_act, out_scale, cache, out)
+        return lambda x, other: add(conv(x), other)
+    add = kernels.bind_add(other.shape, conv_shape, other_scale, None,
+                           add_act, out_scale, cache, out)
+    return lambda x, other: add(other, conv(x))
+
+
+def _bind_add(step, inputs, cache, out, constants):
+    attrs = step.attrs
+    return kernels.bind_add(inputs[0].shape, inputs[1].shape,
+                            attrs.get("in_scale_0"), attrs.get("in_scale_1"),
+                            attrs.get("act"), attrs.get("out_scale"), cache,
+                            out)
+
+
+def _bind_qlinear(step, inputs, cache, out, constants):
+    return kernels.bind_qlinear(inputs[0], step.arrays["weight"],
+                                step.arrays["dequant"],
+                                step.arrays.get("bias"),
+                                act=step.attrs.get("act"), out=out,
+                                acc_bound=step.attrs.get("acc_bound"),
+                                constants=constants)
+
+
+def _bind_qrequantize(step, inputs, cache, out, constants):
+    return kernels.bind_requantize_codes(inputs[0], step.attrs["in_scale"],
+                                         step.attrs["scale"], cache, out)
+
+
+def _bind_scaled(kernel):
+    """Binder of an elementwise ``kernel(x, scale, out=)`` step."""
+    def bind(step, inputs, cache, out, constants):
+        scale = step.attrs["scale"]
+        return lambda x: kernel(x, scale, out=out)
+    return bind
+
+
+def _bind_pool(kernel):
+    """Binder of a windowed ``kernel(x, kernel_size, stride, out=)`` step."""
+    def bind(step, inputs, cache, out, constants):
+        size, stride = step.attrs["kernel_size"], step.attrs["stride"]
+        return lambda x: kernel(x, size, stride, out=out)
+    return bind
+
+
+def _bind_bn(step, inputs, cache, out, constants):
+    scale, shift = step.arrays["scale"], step.arrays["shift"]
+    act = step.attrs.get("act")
+    return lambda x: kernels.batchnorm_inference(x, scale, shift, act=act,
+                                                 out=out)
+
+
+def _bind_act(step, inputs, cache, out, constants):
+    act = step.attrs["act"]
+    if out is None:
+        return lambda x: kernels.apply_activation(x.copy(), act)
+
+    def call(x):
         np.copyto(out, x)
-        return kernels.apply_activation(out, step.attrs["act"])
-    if op == "add":
-        return kernels.fused_add(
-            x, registers[step.inputs[1]],
-            in_scale_x=step.attrs.get("in_scale_0"),
-            in_scale_y=step.attrs.get("in_scale_1"),
-            act=step.attrs.get("act"),
-            out_scale=step.attrs.get("out_scale"), cache=cache, out=out)
-    if op == "global_pool":
-        return kernels.global_avg_pool(x, out=out)
-    if op == "qglobal_pool":
-        return kernels.int_global_avg_pool(x, step.attrs["scale"], out=out)
-    if op == "max_pool":
-        return kernels.max_pool(x, step.attrs["kernel_size"],
-                                step.attrs["stride"], out=out)
-    if op == "avg_pool":
-        return kernels.avg_pool(x, step.attrs["kernel_size"],
-                                step.attrs["stride"], out=out)
-    if op == "flatten":
-        return x.reshape(x.shape[0], -1)
-    if op == "opaque":
-        # Fallback for unknown modules (or modules carrying forward hooks,
-        # e.g. activation fake-quantisation): call the module eagerly with
-        # gradients off.  Slower, but always correct.
-        module = step.module
+        return kernels.apply_activation(out, act)
+    return call
+
+
+def _bind_global_pool(step, inputs, cache, out, constants):
+    return lambda x: kernels.global_avg_pool(x, out=out)
+
+
+def _bind_flatten(step, inputs, cache, out, constants):
+    return lambda x: x.reshape(x.shape[0], -1)
+
+
+def _bind_opaque(step, inputs, cache, out, constants):
+    # Fallback for unknown modules (or modules carrying forward hooks, e.g.
+    # activation fake-quantisation): call the module eagerly with gradients
+    # off.  Slower, but always correct.
+    module = step.module
+
+    def call(x):
         was_training = module.training
         module.eval()
         try:
             with no_grad():
-                out = module(Tensor(x)).data
+                return module(Tensor(x)).data
         finally:
             module.train(was_training)
-        return out
-    raise ValueError(f"unknown op {op!r} in step {step.name!r}")
+    return call
+
+
+_BINDERS = {
+    "conv": _bind_conv,
+    "linear": _bind_linear,
+    "qconv": _bind_qconv,
+    "qconv_dequant": _bind_qconv_dequant,
+    "qconv_add": _bind_qconv_add,
+    "qlinear": _bind_qlinear,
+    "quantize": _bind_scaled(kernels.quantize_int8),
+    "dequantize": _bind_scaled(kernels.dequantize_int8),
+    "requantize": _bind_scaled(kernels.requantize_float),
+    "qrequantize": _bind_qrequantize,
+    "bn": _bind_bn,
+    "act": _bind_act,
+    "add": _bind_add,
+    "global_pool": _bind_global_pool,
+    "qglobal_pool": _bind_scaled(kernels.int_global_avg_pool),
+    "max_pool": _bind_pool(kernels.max_pool),
+    "avg_pool": _bind_pool(kernels.avg_pool),
+    "flatten": _bind_flatten,
+    "opaque": _bind_opaque,
+}

@@ -13,9 +13,11 @@ fine-tuning needs no recompilation either.  Only backbone weights are frozen
 into the plan (they are frozen in the deployment configuration anyway).
 
 Each engine is compiled once and kept for as long as its staleness
-signature (weight array identities, hook counts, int8 quantizer thresholds)
-is unchanged; a rebound weight or a changed hook recompiles it on the next
-access, and :meth:`refresh` drops both engines after in-place mutation.
+signature (weight and buffer array identities, hook counts, int8 quantizer
+thresholds, collected in one walk of the module tree) is unchanged; a
+rebound weight or buffer, a replaced submodule or a changed hook recompiles
+it on the next access, and :meth:`refresh` drops both engines after
+in-place mutation.
 The raw compiled plan goes straight to
 :class:`~repro.runtime.engine.InferenceEngine`, the one place plans are
 optimized.
@@ -23,6 +25,7 @@ optimized.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -66,9 +69,9 @@ class BatchedPredictor:
         #: so ``plan_stats --profile`` reads both from a single table.
         self.profiler = PlanProfiler(registry=registry) if profile else None
         self._backbone_engine: Optional[InferenceEngine] = None
-        self._backbone_state: list = []
+        self._backbone_state: Optional[tuple] = None
         self._fcr_engine: Optional[InferenceEngine] = None
-        self._fcr_state: list = []
+        self._fcr_state: Optional[tuple] = None
         # (memory version, class-id selection) -> (normalised matrix, ids)
         self._proto_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -81,90 +84,67 @@ class BatchedPredictor:
     # ------------------------------------------------------------------
     # Engines
     # ------------------------------------------------------------------
-    @staticmethod
-    def _quantizer_signature(module) -> tuple:
-        """Frozen thresholds of the activation quantizer hooks on ``module``.
+    def _staleness(self, module, arrays: bool, buffers: bool) -> tuple:
+        """``(objects, values)`` a compiled plan of ``module`` depends on.
 
-        The int8 lowering bakes the hook thresholds into the plan, so a
-        recalibration (which changes ``quantizer.threshold`` without touching
-        weights or hook counts) must also read as staleness.
+        One iterative walk over ``_parameters``, ``_buffers``,
+        ``_forward_hooks`` and ``_modules`` collects:
+
+        * ``objects``, compared by identity: with ``arrays``, every
+          parameter's ``data`` (and with ``buffers`` every buffer) — all
+          weight mutations in the codebase rebind ``param.data`` (optimizer
+          steps, weight quantization) or a buffer (``update_buffer``), so
+          identities detect staleness without touching the values;
+        * ``values``, compared by equality: the forward-hook count (hooks
+          flip layers between fused and opaque lowering) and, in int8 mode,
+          the activation quantizers' ``(mode, threshold)`` and the input
+          quantizer's threshold, which the int8 lowering bakes into the
+          plan.
         """
-        from ..quant.activation_quant import ActivationQuantizer
-
-        signature = []
-        for sub in module.modules():
-            for hook in sub._forward_hooks:
-                if isinstance(hook, ActivationQuantizer):
-                    signature.append((hook.mode,
-                                      None if hook.quantizer is None
-                                      else hook.quantizer.threshold))
-        quantizer = getattr(module, "input_quantizer", None)
-        if quantizer is not None:
-            signature.append(("input", quantizer.threshold))
-        return tuple(signature)
-
-    def _current_backbone_state(self) -> list:
-        """Identity snapshot of everything the compiled plan froze in.
-
-        All weight mutations in the codebase rebind ``param.data`` (optimizer
-        steps, weight quantization) or the BN buffers (``update_buffer``), so
-        comparing array identities detects staleness without touching the
-        values.  Hook attachment/removal flips layers between fused and
-        opaque lowering, so the hook count participates too; in int8 mode the
-        quantizer thresholds are part of the compiled plan and join the
-        signature.
-        """
-        backbone = self.model.backbone
-        arrays = [parameter.data for parameter in backbone.parameters()]
-        arrays.extend(buffer for _, buffer in backbone.named_buffers())
-        hook_count = sum(len(module._forward_hooks)
-                         for module in backbone.modules())
-        quantizers = self._quantizer_signature(backbone) \
-            if self.mode == "int8" else ()
-        return [arrays, hook_count, quantizers]
-
-    def _current_fcr_state(self) -> list:
-        """Staleness signature of the FCR plan.
-
-        In float mode the ``linear`` step reads weights from the live module
-        (so only hook changes matter for staleness), but the compiled plan is
-        thereby *bound to that module object* — its identity joins the
-        signature so replacing ``model.fcr`` recompiles.  The int8 lowering
-        freezes quantized weights into the plan, so weight identities and
-        quantizer thresholds participate as well.
-        """
-        fcr = self.model.fcr
-        hooks = sum(len(module._forward_hooks) for module in fcr.modules())
-        if self.mode != "int8":
-            return [hooks, fcr]
-        arrays = [parameter.data for parameter in fcr.parameters()]
-        return [hooks, arrays, self._quantizer_signature(fcr)]
+        int8 = self.mode == "int8"
+        if int8:
+            # Imported here: the quantization package is heavy, and only an
+            # int8 model (which it built) has activation quantizers.
+            from ..quant.activation_quant import ActivationQuantizer
+        objects: list = []
+        quantizers: list = []
+        hooks = 0
+        stack = [module]
+        while stack:
+            sub = stack.pop()
+            if arrays:
+                objects.extend([parameter.data for parameter
+                                in sub._parameters.values()])
+                if buffers:
+                    objects.extend(sub._buffers.values())
+            if sub._forward_hooks:
+                hooks += len(sub._forward_hooks)
+                if int8:
+                    quantizers.extend(
+                        (hook.mode, None if hook.quantizer is None
+                         else hook.quantizer.threshold)
+                        for hook in sub._forward_hooks
+                        if isinstance(hook, ActivationQuantizer))
+            stack.extend(reversed(sub._modules.values()))
+        if int8:
+            quantizer = getattr(module, "input_quantizer", None)
+            if quantizer is not None:
+                quantizers.append(("input", quantizer.threshold))
+        return objects, (hooks, tuple(quantizers))
 
     @staticmethod
-    def _state_differs(new: list, old: list) -> bool:
-        """Compare two staleness signatures.
-
-        List-valued parts hold arrays compared by identity (every weight
-        mutation in the codebase rebinds ``param.data``); scalar parts
-        compare by equality.
-        """
-        if not old or len(new) != len(old):
-            return True
-        for new_part, old_part in zip(new, old):
-            if isinstance(new_part, list):
-                if not isinstance(old_part, list) or \
-                        len(new_part) != len(old_part) or \
-                        any(a is not b for a, b in zip(new_part, old_part)):
-                    return True
-            elif new_part != old_part:
-                return True
-        return False
+    def _stale(new: tuple, old: Optional[tuple]) -> bool:
+        """Whether two :meth:`_staleness` results differ."""
+        return old is None or new[1] != old[1] \
+            or len(new[0]) != len(old[0]) \
+            or any(map(operator.is_not, new[0], old[0]))
 
     @property
     def backbone_engine(self) -> InferenceEngine:
-        state = self._current_backbone_state()
+        state = self._staleness(self.model.backbone, arrays=True,
+                                buffers=True)
         if self._backbone_engine is None or \
-                self._state_differs(state, self._backbone_state):
+                self._stale(state, self._backbone_state):
             self._backbone_engine = InferenceEngine(
                 compile_backbone(self.model.backbone, mode=self.mode),
                 micro_batch=self.micro_batch, num_threads=self.num_threads,
@@ -175,9 +155,17 @@ class BatchedPredictor:
 
     @property
     def fcr_engine(self) -> InferenceEngine:
-        state = self._current_fcr_state()
+        # In float mode the ``linear`` step reads weights from the live
+        # module, so only hooks matter, but the plan is bound to that module
+        # object: it joins the signature so replacing ``model.fcr``
+        # recompiles.  The int8 lowering freezes the quantized weights.
+        fcr = self.model.fcr
+        state = self._staleness(fcr, arrays=self.mode == "int8",
+                                buffers=False)
+        if self.mode != "int8":
+            state[0].append(fcr)
         if self._fcr_engine is None or \
-                self._state_differs(state, self._fcr_state):
+                self._stale(state, self._fcr_state):
             self._fcr_engine = InferenceEngine(
                 compile_module(self.model.fcr, "fcr", mode=self.mode),
                 micro_batch=max(self.micro_batch, 512),
@@ -195,9 +183,9 @@ class BatchedPredictor:
         which nothing in the codebase currently does.
         """
         self._backbone_engine = None
-        self._backbone_state = []
+        self._backbone_state = None
         self._fcr_engine = None
-        self._fcr_state = []
+        self._fcr_state = None
         self._proto_cache.clear()
 
     # ------------------------------------------------------------------

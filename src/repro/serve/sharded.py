@@ -187,7 +187,10 @@ class ShardedEngine:
         #: Optional callable receiving one dict per recovery lifecycle event
         #: (``worker_failed`` / ``respawn_scheduled`` / ``hang_escalated`` /
         #: ``respawned`` / ``gave_up``) — the server wires its stats
-        #: instruments here; exceptions it raises are swallowed.
+        #: instruments here; exceptions it raises are swallowed.  Events
+        #: arrive from the engine's own threads: the supervisor thread
+        #: emits ``respawned`` after it has made the shard routable again,
+        #: so a caller that sees the shard live may not have that event yet.
         self._recovery_listener = recovery_listener
         #: Optional :class:`~repro.obs.trace.Tracer`: the adoption point for
         #: spans shipped back from workers, and the author of the synthetic
@@ -476,10 +479,14 @@ class ShardedEngine:
         while not self._stop.wait(self.watchdog_interval_s):
             if self._closed:
                 return
-            # Snapshot: the supervisor replaces process handles in place.
-            for index, process in list(enumerate(self._processes)):
+            for index in range(len(self._processes)):
+                # The supervisor installs a respawned shard's process handle
+                # before it clears the dead flag under this lock, so a live
+                # flag read here goes with the current handle, never with
+                # the corpse it replaced.
                 with self._lock:
                     dead = self._dead[index]
+                    process = self._processes[index]
                 if dead:
                     continue
                 if not process.is_alive():

@@ -39,6 +39,31 @@ def c_kernels():
         pytest.skip(f"C kernels not loaded: {native.build_error}")
 
 
+@pytest.fixture()
+def numpy_kernels(monkeypatch):
+    """A switch to the NumPy fallback that fails the test if C runs after it.
+
+    Calling the returned function sets ``native._library`` to False, as a
+    host without a compiler has it, and replaces each kernel of an already
+    loaded library with one that raises: a bound program that kept its C
+    kernel past the switch fails loudly instead of giving the same bits.
+    """
+    def switch_off():
+        library = native.library()
+        if library is not None:
+            for name in native._SIGNATURES:
+                monkeypatch.setattr(library, name, _refusal(name))
+        monkeypatch.setattr(native, "_library", False)
+    return switch_off
+
+
+def _refusal(name: str):
+    def refuse(*args):
+        raise AssertionError(f"C kernel {name} ran after the library was "
+                             f"switched off")
+    return refuse
+
+
 @pytest.fixture(scope="session")
 def tiny_benchmark():
     """Miniature FSCIL benchmark (8 base classes, 4 incremental sessions)."""

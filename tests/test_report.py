@@ -5,11 +5,9 @@ import pytest
 
 from repro.report import (
     ExperimentRecord,
-    append_bench_record,
     append_keyed_bench_record,
     dict_rows_to_table,
     format_table,
-    load_bench,
     load_keyed_bench,
     load_records,
     relative_error,
@@ -79,37 +77,36 @@ class TestRecords:
 class TestBenchHistory:
     def test_append_creates_latest_and_history(self, tmp_path):
         path = tmp_path / "bench.json"
-        append_bench_record(path, {"run": 1})
-        data = append_bench_record(path, {"run": 2})
-        assert data["latest"] == {"run": 2}
-        assert data["history"] == [{"run": 1}, {"run": 2}]
-        assert load_bench(path) == data
-
-    def test_legacy_single_record_file_is_migrated(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text('{"speedup": 9.5, "backbone": "x"}')
-        data = append_bench_record(path, {"speedup": 9.7, "backbone": "x"})
-        assert [entry["speedup"] for entry in data["history"]] == [9.5, 9.7]
-        assert data["latest"]["speedup"] == 9.7
+        append_keyed_bench_record(path, "section", {"run": 1})
+        data = append_keyed_bench_record(path, "section", {"run": 2})
+        assert data["section"]["latest"] == {"run": 2}
+        assert data["section"]["history"] == [{"run": 1}, {"run": 2}]
+        assert load_keyed_bench(path) == data
 
     def test_history_limit_is_enforced(self, tmp_path):
         path = tmp_path / "bench.json"
+        append_keyed_bench_record(path, "other", {"run": -1}, limit=3)
         for run in range(5):
-            data = append_bench_record(path, {"run": run}, limit=3)
-        assert [entry["run"] for entry in data["history"]] == [2, 3, 4]
-        assert data["latest"] == {"run": 4}
+            data = append_keyed_bench_record(path, "section", {"run": run},
+                                             limit=3)
+        assert [entry["run"] for entry in data["section"]["history"]] \
+            == [2, 3, 4]
+        assert data["section"]["latest"] == {"run": 4}
+        assert data["other"]["history"] == [{"run": -1}]
 
     def test_history_limit_zero_keeps_nothing(self, tmp_path):
         path = tmp_path / "bench.json"
-        data = append_bench_record(path, {"run": 0}, limit=0)
-        assert data["history"] == []
-        assert data["latest"] == {"run": 0}
+        data = append_keyed_bench_record(path, "section", {"run": 0},
+                                         limit=0)
+        assert data["section"]["history"] == []
+        assert data["section"]["latest"] == {"run": 0}
 
     def test_corrupt_file_resets_cleanly(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text("{not json")
-        data = append_bench_record(path, {"run": 1})
-        assert data["history"] == [{"run": 1}]
+        data = append_keyed_bench_record(path, "section", {"run": 1})
+        assert data == {"section": {"latest": {"run": 1},
+                                    "history": [{"run": 1}]}}
 
 
 class TestKeyedBenchMalformedInputs:

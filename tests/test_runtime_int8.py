@@ -26,7 +26,6 @@ from int8_fixtures import (
 from repro.hw import DeploymentPlan, deploy_backbone
 from repro.models import get_config
 from repro.runtime import InferenceEngine, Int8CompilationError, compile_backbone
-from repro.runtime import native
 from repro.runtime.kernels import INT8_QMAX, quantize_unit_rows
 from repro.serve import Server, snapshot_model
 
@@ -233,10 +232,13 @@ class TestGoldenConformance:
         self._assert_reproduces_fixture(model, golden)
 
     def test_numpy_fallback_reproduces_committed_fixture(self, conformance,
-                                                         monkeypatch):
-        # The same bits with the C library handle forced off.
-        monkeypatch.setattr(native, "_library", False)
+                                                         numpy_kernels):
+        # The same bits with the C library handle forced off.  The engines
+        # first run (and keep programs bound to) the C kernels where they
+        # load; after the switch, any of those kernels running fails.
         _, model, _, golden = conformance
+        self._assert_reproduces_fixture(model, golden)
+        numpy_kernels()
         self._assert_reproduces_fixture(model, golden)
 
     def test_bitwise_stable_across_chunkings(self, conformance):

@@ -9,9 +9,12 @@ test runs the fusions on random typed int8 DAGs, where every fusion fires
 and every single-use condition is put to the test.
 """
 
+import copy
 import dataclasses
 import functools
+import gc
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -1025,6 +1028,148 @@ class TestBufferCacheBudget:
 
 
 # ---------------------------------------------------------------------------
+# Bound programs: kept per cache, replayed, and dropped with their buffers
+# ---------------------------------------------------------------------------
+def _poison(cache):
+    """Fill every cached buffer with NaN (float) or code 113 (integer)."""
+    for buffer in cache._buffers.values():
+        buffer[...] = np.nan if buffer.dtype.kind == "f" else 113
+
+
+def _buffer_refs(engine):
+    """Weak references to every buffer the engine's caches hold now."""
+    return [weakref.ref(buffer) for cache in engine._caches
+            for buffer in cache._buffers.values()]
+
+
+def _assert_released_buffers_are_free(engine, refs):
+    # A kept program holds views of the buffers it was bound to; once a
+    # cache releases a buffer, no program may pin it any more.
+    gc.collect()
+    held = {id(buffer) for cache in engine._caches
+            for buffer in cache._buffers.values()}
+    pinned = [ref() for ref in refs
+              if ref() is not None and id(ref()) not in held]
+    assert not pinned, f"{len(pinned)} released buffers are still pinned"
+
+
+def _assert_replay_matches_fresh(engine, images):
+    """Poison every cached buffer, run, compare with a fresh-cache run."""
+    for cache in engine._caches:
+        _poison(cache)
+    np.testing.assert_array_equal(
+        engine.run(images), engine.plan.execute(images, BufferCache()))
+
+
+def _kept_programs(engine) -> int:
+    return sum(len(cache.programs) for cache in engine._caches)
+
+
+@pytest.fixture(scope="module", params=["float32", "int8"])
+def program_plan(request):
+    """The tiny MobileNetV2 backbone plan in both modes."""
+    if request.param == "int8":
+        model, _ = build_quantized_model(BACKBONE)
+    else:
+        model = make_model(BACKBONE)
+    return compile_backbone(model.backbone, mode=request.param)
+
+
+class TestBoundPrograms:
+    def test_replays_ignore_stale_buffer_contents(self, program_plan, rng):
+        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
+        for batch in (8, 5, 8, 1, 5, 8):
+            images = rng.standard_normal((batch, 3, 16, 16)) \
+                .astype(np.float32)
+            _assert_replay_matches_fresh(engine, images)
+        # One program per batch size, each replayed after the first call.
+        assert _kept_programs(engine) == 3
+
+    def test_lru_eviction_drops_the_programs(self, program_plan, rng):
+        # A budget that holds one batch size's scratch: binding a second
+        # batch size evicts the first one's buffers.
+        probe = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
+        images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        probe.run(images)
+        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1,
+                                 cache_budget=probe.cache._scratch_nbytes)
+        for _ in range(2):
+            _assert_replay_matches_fresh(engine, images)
+        assert _kept_programs(engine) == 1 and engine.cache.evictions == 0
+        refs = _buffer_refs(engine)
+        _assert_replay_matches_fresh(engine, images[:5])
+        assert engine.cache.evictions > 0
+        _assert_released_buffers_are_free(engine, refs)
+        _assert_replay_matches_fresh(engine, images)
+        engine.cache.check_invariants()
+
+    def test_a_budget_below_one_call_keeps_no_program(self, program_plan,
+                                                      rng):
+        # Every binding evicts buffers it bound earlier in the same call, so
+        # a kept program would pin them: each call binds afresh instead.
+        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1,
+                                 cache_budget=1)
+        images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        for _ in range(3):
+            refs = _buffer_refs(engine)
+            _assert_replay_matches_fresh(engine, images)
+            _assert_released_buffers_are_free(engine, refs)
+        assert engine.cache.evictions > 0 and _kept_programs(engine) == 0
+
+    def test_clear_cache_drops_the_programs(self, program_plan, rng):
+        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
+        images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        for _ in range(2):
+            _assert_replay_matches_fresh(engine, images)
+        refs = _buffer_refs(engine)
+        engine.clear_cache()
+        assert _kept_programs(engine) == 0
+        _assert_replay_matches_fresh(engine, images)
+        _assert_released_buffers_are_free(engine, refs)
+        _assert_replay_matches_fresh(engine, images)
+
+    def test_arena_capacity_growth_drops_the_programs(self, program_plan,
+                                                      rng):
+        engine = InferenceEngine(program_plan, micro_batch=4, num_threads=1)
+        images = rng.standard_normal((9, 3, 16, 16)).astype(np.float32)
+        for _ in range(2):
+            _assert_replay_matches_fresh(engine, images[:4])
+        refs = _buffer_refs(engine)
+        # A direct execute past the arena capacity rekeys the arena.
+        engine.plan.execute(images, engine.cache,
+                            memory_plan=engine.memory_plan)
+        assert engine.memory_plan.capacity_batch == 9
+        _assert_replay_matches_fresh(engine, images[:4])
+        _assert_released_buffers_are_free(engine, refs)
+        _assert_replay_matches_fresh(engine, images[:4])
+
+    def test_replan_drops_the_programs(self, program_plan, rng):
+        engine = InferenceEngine(program_plan, micro_batch=4, num_threads=1)
+        small = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+        large = rng.standard_normal((4, 3, 20, 20)).astype(np.float32)
+        for _ in range(2):
+            _assert_replay_matches_fresh(engine, small)
+        refs = _buffer_refs(engine)
+        for _ in range(2):
+            _assert_replay_matches_fresh(engine, large)
+        _assert_released_buffers_are_free(engine, refs)
+        _assert_replay_matches_fresh(engine, small)
+
+    def test_switching_the_library_off_rebinds_to_numpy(
+            self, program_plan, rng, c_kernels, numpy_kernels):
+        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
+        images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        for _ in range(2):
+            _assert_replay_matches_fresh(engine, images)
+        numpy_kernels()
+        for _ in range(2):
+            _assert_replay_matches_fresh(engine, images)
+        # The C program stays keyed under the library handle, unreplayed.
+        assert sorted(key[-1] is None for key in engine.cache.programs) \
+            == [False, True]
+
+
+# ---------------------------------------------------------------------------
 # Fused kernels replicate the unfused arithmetic exactly
 # ---------------------------------------------------------------------------
 class TestFusedKernels:
@@ -1190,6 +1335,70 @@ class TestPredictorEngines:
         linear = model.fcr.linear
         linear.weight.data = linear.weight.data.copy()
         assert (predictor.fcr_engine is not fcr) == (mode == "int8")
+
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_buffer_rebind_rebuilds_the_engine(self, mode):
+        # BN running stats are folded into the plan; update_buffer rebinds
+        # one, which the walk must see through ``_buffers``.
+        model = predictor_model(mode)
+        predictor = BatchedPredictor(model, mode=mode)
+        backbone = predictor.backbone_engine
+        bn = next(module for module in model.backbone.modules()
+                  if "running_var" in module._buffers)
+        bn.update_buffer("running_var", bn.running_var.copy())
+        assert predictor.backbone_engine is not backbone
+
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_submodule_replacement_rebuilds_the_engine(self, mode):
+        model = predictor_model(mode)
+        predictor = BatchedPredictor(model, mode=mode)
+        backbone = predictor.backbone_engine
+        parent = next(module for module in model.backbone.modules()
+                      if isinstance(module, ConvBNReLU))
+        parent.conv = copy.deepcopy(parent.conv)    # same shapes and bits
+        assert predictor.backbone_engine is not backbone
+
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_hook_removal_rebuilds_the_engine(self, mode):
+        model = predictor_model(mode)
+        predictor = BatchedPredictor(model, mode=mode)
+        hooked = next(module for module in model.backbone.modules()
+                      if isinstance(module, ConvBNReLU))
+        if not hooked._forward_hooks:
+            hooked.register_forward_hook(lambda module, out: out)
+        backbone = predictor.backbone_engine
+        hooked.clear_forward_hooks()
+        assert predictor.backbone_engine is not backbone
+
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_staleness_walk_sees_every_traversal_item(self, mode):
+        # One walk collects what parameters(), named_buffers() and modules()
+        # reach: every weight and buffer array, every hook, and (int8) every
+        # quantizer threshold in module order.
+        from repro.quant.activation_quant import ActivationQuantizer
+
+        model = predictor_model(mode)
+        predictor = BatchedPredictor(model, mode=mode)
+        backbone = model.backbone
+        objects, (hooks, quantizers) = predictor._staleness(
+            backbone, arrays=True, buffers=True)
+        expected = [parameter.data for parameter in backbone.parameters()]
+        expected += [buffer for _, buffer in backbone.named_buffers()]
+        assert sorted(map(id, objects)) == sorted(map(id, expected))
+        assert len(objects) == len(expected)
+        assert hooks == sum(len(module._forward_hooks)
+                            for module in backbone.modules())
+        expected_quantizers = []
+        if mode == "int8":
+            expected_quantizers = [
+                (hook.mode, hook.quantizer.threshold)
+                for module in backbone.modules()
+                for hook in module._forward_hooks
+                if isinstance(hook, ActivationQuantizer)]
+            expected_quantizers.append(
+                ("input", backbone.input_quantizer.threshold))
+            assert hooks > 0
+        assert list(quantizers) == expected_quantizers
 
     def test_quantizer_recalibration_rebuilds_the_int8_engine(self):
         # The int8 lowering bakes quantizer thresholds into the plan: a new

@@ -19,7 +19,6 @@ The same harness enforces the arena's memory contract — the planned
 throughput ratio.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -27,7 +26,8 @@ import numpy as np
 import pytest
 
 from repro.core import OFSCIL, OFSCILConfig
-from repro.report import append_bench_record, host_record
+from repro.report import append_keyed_bench_record, host_record, \
+    load_keyed_bench
 from repro.runtime import compare_with_eager
 
 BACKBONE = "mobilenetv2_x4_tiny"
@@ -131,23 +131,17 @@ def test_batched_runtime_meets_speedup_floor(bench_model):
 def test_batched_runtime_speedup_recorded(bench_model):
     parity, speedup, peak_reduction, record = \
         measure_batched_vs_eager(bench_model)
-    append_bench_record(BENCH_PATH, record)
+    append_keyed_bench_record(BENCH_PATH, "batched_runtime", record)
     assert_meets_floors(parity, speedup, peak_reduction)
 
 
 @pytest.mark.slow
 def test_bench_record_is_written_and_valid(bench_model):
     # Runs after the recording test in file order; guards the artefact
-    # contract that downstream tooling (README workflow, CI) relies on.  The
-    # history interleaves two record kinds — the batched-vs-eager speedup
-    # records and the slow-marked int8-vs-float32 section — so the speedup
-    # contract is asserted on the most recent record of that kind, not on
-    # whatever happens to sit in the ``latest`` slot.
-    data = json.loads(BENCH_PATH.read_text())
-    speedup_records = [entry for entry in data["history"]
-                       if "speedup" in entry]
-    assert speedup_records, "no batched-vs-eager record in bench history"
-    record = speedup_records[-1]
+    # contract that downstream tooling (README workflow, CI) relies on.  Each
+    # record kind keeps its own trend under its key.
+    data = load_keyed_bench(BENCH_PATH)["batched_runtime"]
+    record = data["latest"]
     assert record["backbone"] == BACKBONE
     assert record["speedup"] >= REQUIRED_SPEEDUP
     assert record["batched_samples_per_s"] > 0
@@ -261,7 +255,7 @@ def test_int8_vs_float32_throughput_recorded(backbone, required_ratio):
         **host_record(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    append_bench_record(BENCH_PATH, record)
+    append_keyed_bench_record(BENCH_PATH, "int8_vs_float32", record)
     assert int8_rate > 0 and float_rate > 0
     if required_ratio is not None:
         assert ratio >= required_ratio, (

@@ -22,7 +22,6 @@ serving layer's correctness (including SIGKILL fault injection and shed
 semantics) in ``tests/test_serve.py``.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -32,7 +31,8 @@ import pytest
 
 from repro.core import OFSCIL, OFSCILConfig
 from repro.obs.metrics import Histogram
-from repro.report import append_bench_record, host_record
+from repro.report import append_keyed_bench_record, host_record, \
+    load_keyed_bench
 from repro.serve import Server, ServerOverloaded
 
 pytestmark = pytest.mark.slow
@@ -182,7 +182,7 @@ def test_worker_sweep_scaling_beats_single_worker(bench_model):
         "obs_overhead": round(obs_overhead, 5),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    append_bench_record(BENCH_PATH, record)
+    append_keyed_bench_record(BENCH_PATH, "worker_sweep", record)
 
     assert obs_overhead < 0.02, (
         f"tracing-off telemetry costs {obs_overhead * 100:.2f}% of the "
@@ -202,7 +202,7 @@ def test_worker_sweep_scaling_beats_single_worker(bench_model):
 def test_serve_bench_record_is_written_and_valid(bench_model):
     # File-order dependency, mirroring test_runtime_perf: guards the
     # BENCH_serve.json artefact contract.
-    data = json.loads(BENCH_PATH.read_text())
+    data = load_keyed_bench(BENCH_PATH)["worker_sweep"]
     record = data["latest"]
     assert record["backbone"] == BACKBONE
     assert [point["workers"] for point in record["sweep"]] \

@@ -351,6 +351,12 @@ class TestSupervisedRespawn:
             old_pid = engine.worker_pids[0]
             os.kill(old_pid, signal.SIGKILL)
             await_recovery(engine, 0, old_pid)
+            # The supervisor thread emits ``respawned`` after it has made
+            # the shard routable, so the event can land after the poll
+            # above returns: wait for all three within the same deadline.
+            deadline = time.monotonic() + RECOVERY_DEADLINE_S
+            while len(events) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
             kinds = [event["event"] for event in events]
             assert kinds == ["worker_failed", "respawn_scheduled",
                              "respawned"]
