@@ -151,6 +151,16 @@ class Module:
         """
         self._forward_hooks.append(hook)
 
+    def remove_forward_hook(self, hook) -> None:
+        """Remove ``hook`` (by identity) from this module's hooks, in place.
+
+        The other hooks keep their order; a hook not registered here is
+        ignored.
+        """
+        hooks = self._forward_hooks
+        hooks[:] = [registered for registered in hooks
+                    if registered is not hook]
+
     def clear_forward_hooks(self) -> None:
         self._forward_hooks.clear()
 

@@ -167,10 +167,8 @@ class ActivationQuantizationPass:
 
     def detach(self) -> None:
         """Remove every hook installed by this pass."""
-        for name, module in self.model.named_modules():
-            if isinstance(module, self.hook_types):
-                module._forward_hooks = [hook for hook in module._forward_hooks
-                                         if hook not in self.quantizers]
+        for module, quantizer in zip(self._modules, self.quantizers):
+            module.remove_forward_hook(quantizer)
         self.quantizers.clear()
         self._modules.clear()
         if getattr(self.model, "input_quantizer", None) is self.input_quantizer:

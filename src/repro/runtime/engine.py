@@ -13,7 +13,6 @@ Programs live on the cache, which drops them whenever it releases a buffer.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -68,18 +67,16 @@ class InferenceEngine:
     Intra-process threading composes with :mod:`repro.serve` process
     sharding: workers receive single micro-batches and stay serial.
 
-    ``cache_budget`` bounds the scratch bytes of the whole engine, not of
-    each cache: it is split evenly between the calling thread's cache and
-    one cache per pool thread (arena slot buffers are exempt, see
-    :class:`BufferCache`).  A further thread calling :meth:`run` adds a
-    cache with the same share.
+    Each cache holds one set of scratch and arena buffers, grown to the
+    largest chunk its thread has run (see :class:`BufferCache`), so the
+    engine's memory is bounded by its micro-batch and its thread count,
+    whatever mix of batch sizes it serves.
     """
 
     def __init__(self, plan: InferencePlan,
                  micro_batch: int = DEFAULT_MICRO_BATCH,
                  optimize: bool = True,
                  num_threads: Optional[int] = None,
-                 cache_budget: Optional[int] = None,
                  memory_plan: Optional[MemoryPlan] = None,
                  registry=None, metrics_prefix: str = "engine",
                  profiler=None):
@@ -92,25 +89,17 @@ class InferenceEngine:
             else default_num_threads()
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
-        self.cache_budget = cache_budget
-        self.cache = self._new_cache()
+        self.cache = BufferCache()
         # A supplied memory plan maps registers of the plan it was recorded
         # against.  If optimization rewrote the plan above (renaming fused
         # registers), or planned execution is off entirely, the spec no
         # longer applies — drop it and let the first run re-record.  The
         # snapshot path restores plans with ``optimized=True``, which
         # ``optimize_plan`` passes through untouched, so worker replicas
-        # keep their shipped arena spec.  The arena capacity is raised to
-        # this engine's micro-batch: chunks larger than the shipped
-        # ``capacity_batch`` would otherwise key one eviction-exempt buffer
-        # per distinct batch size per slot.
-        if memory_plan is not None and optimize and plan.optimized:
-            if memory_plan.capacity_batch < micro_batch:
-                memory_plan = dataclasses.replace(memory_plan,
-                                                  capacity_batch=micro_batch)
-            self.memory_plan: Optional[MemoryPlan] = memory_plan
-        else:
-            self.memory_plan = None
+        # keep their shipped arena spec.
+        self.memory_plan: Optional[MemoryPlan] = memory_plan \
+            if memory_plan is not None and optimize and plan.optimized \
+            else None
         self.batches_run = 0
         self.samples_run = 0
         #: Optional :class:`~repro.obs.planprof.PlanProfiler`; ``None`` costs
@@ -151,13 +140,6 @@ class InferenceEngine:
         registry.gauge(f"{prefix}.opt_rule_applications",
                        fn=lambda: sum(self.plan.pass_stats.values()))
 
-    def _new_cache(self) -> BufferCache:
-        """A buffer cache holding one execution context's budget share."""
-        share = self.cache_budget
-        if share is not None and self.num_threads > 1:
-            share //= self.num_threads + 1
-        return BufferCache(max_bytes=share)
-
     # ------------------------------------------------------------------
     # Thread pools, locks and thread-local caches are runtime-only state:
     # copies (``copy.deepcopy`` of a model holding cached engines) restart
@@ -174,7 +156,7 @@ class InferenceEngine:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.cache = self._new_cache()
+        self.cache = BufferCache()
         self._pool = None
         self._tls = threading.local()
         self._tls.cache = self.cache
@@ -214,20 +196,17 @@ class InferenceEngine:
                               not self.memory_plan.matches(chunks[0].shape[1:])):
             # First contact with this input shape: execute the chunk through
             # the classic path while recording output shapes, then plan the
-            # arena every later chunk executes in.  A superseded plan's slot
-            # buffers are retired from every cache — they can never be
-            # requested again under the new plan's slot sizes.
+            # arena every later chunk executes in.  A superseded plan's
+            # buffers are released from every cache — nothing of the old
+            # input shape is requested again.
             if self.memory_plan is not None:
-                with self._caches_lock:
-                    for cache in self._caches:
-                        cache.drop_arena()
+                self.clear_cache()
             record: dict = {}
             outputs.append(self.plan.execute(chunks[0], self.cache,
                                              record=record,
                                              profiler=self.profiler))
             self.batches_run += 1
-            self.memory_plan = plan_memory(self.plan, record, chunks[0].shape,
-                                           capacity_batch=self.micro_batch)
+            self.memory_plan = plan_memory(self.plan, record, chunks[0].shape)
             chunks = chunks[1:]
         if len(chunks) > 1 and self.num_threads > 1 and self._parallel_ok:
             outputs.extend(self._run_parallel(chunks))
@@ -245,8 +224,7 @@ class InferenceEngine:
     def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
         cache = getattr(self._tls, "cache", None)
         if cache is None:
-            cache = self._new_cache()
-            self._tls.cache = cache
+            cache = self._tls.cache = BufferCache()
             with self._caches_lock:
                 self._caches.append(cache)
         memory_plan = self.memory_plan
@@ -255,24 +233,20 @@ class InferenceEngine:
         program = cache.programs.get(self._program_key(chunk))
         if program is not None:
             return self.plan.replay(program, chunk, self.profiler)
-        evictions = cache.evictions
         out, program = self.plan.bind(chunk, cache, memory_plan,
                                       profiler=self.profiler,
                                       constants=self._constants)
-        if cache.evictions == evictions:
-            cache.programs[self._program_key(chunk)] = program
+        cache.programs[self._program_key(chunk)] = program
         return out
 
     def _program_key(self, chunk: np.ndarray) -> tuple:
         """What a bound program depends on besides the plan and its cache.
 
-        The memory plan and its arena generation fix the arena views, the
-        batch size fixes every shape, and the native library handle fixes
-        the C-or-NumPy choice (tests switch the library off at run time).
+        The memory plan fixes the arena views, the batch size fixes every
+        shape, and the native library handle fixes the C-or-NumPy choice
+        (tests switch the library off at run time).
         """
-        memory_plan = self.memory_plan
-        return (id(memory_plan), memory_plan._arena_generation,
-                chunk.shape[0], native.library())
+        return (id(self.memory_plan), chunk.shape[0], native.library())
 
     def _run_parallel(self, chunks: List[np.ndarray]) -> List[np.ndarray]:
         if self._pool is None:

@@ -5,8 +5,9 @@ wrappers, no autograd bookkeeping.  Four ideas keep them fast:
 
 * **stride-tricks im2col with buffer reuse** — the sliding-window view of the
   padded input is materialised into a column buffer that is allocated once
-  per (shape, dtype) and reused across calls through :class:`BufferCache`,
-  so steady-state batched inference allocates nothing on the conv path;
+  per (per-sample shape, dtype), at the largest batch seen, and reused
+  across calls through :class:`BufferCache`, so steady-state batched
+  inference allocates nothing on the conv path;
 * **fusion** — batch-norm is folded into the convolution weights at plan
   compile time, and the bias add + activation clip are applied in place on
   the GEMM output, so every conv layer makes a single pass over its output;
@@ -45,109 +46,58 @@ def apply_activation(out: np.ndarray, act: Optional[str]) -> np.ndarray:
 
 
 class BufferCache:
-    """Reusable scratch buffers keyed by (tag, shape, dtype), LRU-bounded.
+    """Reusable scratch and arena buffers of one execution context.
 
-    The engine keeps one cache per plan so that consecutive ``run`` calls
-    with the same micro-batch shape reuse the same im2col / padding / arena
-    buffers instead of reallocating them for every layer of every batch.
+    The engine keeps one cache per thread that runs chunks, so that every
+    chunk reuses the same im2col / padding / arena buffers instead of
+    reallocating them for every layer of every batch.
 
-    ``max_bytes`` caps the *scratch* buffers: past the budget the
-    least-recently-used ones are dropped (the buffer just requested is never
-    evicted, so the cache may transiently exceed the budget by one buffer).
-    Arena slot buffers (``arena:`` tags, see
-    :meth:`~repro.runtime.optimizer.MemoryPlan.out_view`) are the memory
-    plan's working set — they are exempt from eviction and do not consume
-    the budget (evicting them would silently degrade planned execution into
-    per-step reallocation, and counting them would let a small budget thrash
-    every scratch buffer).  They are bounded instead by the plan itself: one
-    fixed-capacity buffer per slot, retired by the engine on replan via
-    :meth:`drop_arena`.  Evicted buffers stay alive for as long as callers
-    hold views into them — eviction only releases the cache's own reference.
+    One rule sizes every buffer: :meth:`get` keys it by (tag, per-sample
+    shape ``shape[1:]``, dtype), holds as many rows as the largest leading
+    dimension ever requested under that key, and hands each request the
+    leading rows ``buffer[:n]``, which are C-contiguous and start at the
+    buffer's address.  Memory therefore follows the largest batch a context
+    has run, not the mix of batch sizes: one set of buffers per context.
+    Arena slots (see :meth:`~repro.runtime.optimizer.MemoryPlan.out_view`)
+    are requested as ``(batch, slot bytes)`` and follow the same rule.
 
     The cache also holds the engine's bound programs (see
     :meth:`InferencePlan.bind <repro.runtime.plan.InferencePlan.bind>`) in
     :attr:`programs`.  A program holds views of the buffers it was bound
-    to, so every release of a buffer — an LRU eviction, :meth:`drop_arena`
-    or :meth:`clear` — drops them all.
+    to, so every release of a buffer — a buffer outgrown by a larger
+    request, or :meth:`clear` — drops them all.  Every request of one
+    binding leads with its batch (the per-image depthwise scratch asks for
+    one row), so a buffer grows only at its first request in a binding, and
+    the program being bound never holds a buffer the cache has released.
     """
 
-    #: Tag prefix of arena slot buffers: exempt from LRU eviction and from
-    #: the ``max_bytes`` scratch budget.
-    ARENA_PREFIX = "arena:"
-
-    def __init__(self, max_bytes: Optional[int] = None):
+    def __init__(self):
         self._buffers: Dict[Tuple, np.ndarray] = {}
-        self._nbytes = 0
-        self._scratch_nbytes = 0
-        self.max_bytes = max_bytes
         #: Bound programs, keyed by the engine that binds them.
         self.programs: Dict[Tuple, list] = {}
-        #: LRU evictions so far: a program bound while one happened may hold
-        #: a buffer the cache no longer owns, so the engine does not keep it.
-        self.evictions = 0
 
     def get(self, tag: str, shape: Tuple[int, ...],
             dtype=np.float32) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype).str)
-        arena = tag.startswith(self.ARENA_PREFIX)
-        buffer = self._buffers.pop(key, None)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
-            self._nbytes += buffer.nbytes
-            if not arena:
-                self._scratch_nbytes += buffer.nbytes
-        self._buffers[key] = buffer        # most recently used at the end
-        if self.max_bytes is not None \
-                and self._scratch_nbytes > self.max_bytes:
-            for oldest in list(self._buffers):
-                if self._scratch_nbytes <= self.max_bytes:
-                    break
-                if oldest == key or oldest[0].startswith(self.ARENA_PREFIX):
-                    continue
-                dropped = self._buffers.pop(oldest)
-                self._nbytes -= dropped.nbytes
-                self._scratch_nbytes -= dropped.nbytes
-                self.evictions += 1
+        key = (tag, tuple(shape[1:]), np.dtype(dtype).str)
+        buffer = self._buffers.get(key)
+        if buffer is None or len(buffer) < shape[0]:
+            if buffer is not None:
                 self.programs.clear()
-        return buffer
-
-    def drop_arena(self) -> None:
-        """Release every arena slot buffer (engine calls this on replan)."""
-        for key in list(self._buffers):
-            if key[0].startswith(self.ARENA_PREFIX):
-                self._nbytes -= self._buffers.pop(key).nbytes
-        self.programs.clear()
+            buffer = self._buffers[key] = np.empty(shape, dtype=dtype)
+        return buffer[:shape[0]]
 
     def clear(self) -> None:
         self._buffers.clear()
-        self._nbytes = 0
-        self._scratch_nbytes = 0
         self.programs.clear()
-
-    def check_invariants(self) -> None:
-        """Verify the byte counters against the held buffers (tests only).
-
-        ``_nbytes``/``_scratch_nbytes`` are maintained incrementally across
-        ``get`` / eviction / :meth:`drop_arena` / :meth:`clear`; any drift
-        between the counters and the actual working set would silently skew
-        the LRU budget and every ``cache_bytes`` stat, so the LRU tests
-        recompute both sums from scratch after each mutation.
-        """
-        total = sum(buffer.nbytes for buffer in self._buffers.values())
-        scratch = sum(buffer.nbytes for key, buffer in self._buffers.items()
-                      if not key[0].startswith(self.ARENA_PREFIX))
-        if total != self._nbytes or scratch != self._scratch_nbytes:
-            raise AssertionError(
-                f"BufferCache byte accounting drifted: nbytes counter "
-                f"{self._nbytes} vs actual {total}, scratch counter "
-                f"{self._scratch_nbytes} vs actual {scratch}")
 
     def __len__(self) -> int:
         return len(self._buffers)
 
     @property
     def nbytes(self) -> int:
-        return self._nbytes
+        # Summed over a copy: a metrics scrape may run while the owning
+        # thread adds a buffer.
+        return sum(buffer.nbytes for buffer in list(self._buffers.values()))
 
 
 def sliding_window_view(x: np.ndarray, kh: int, kw: int,

@@ -174,11 +174,12 @@ def _scratch(cache, c: int, h: int, w: int, kh: int, kw: int,
              padding: int) -> np.ndarray:
     """Depthwise scratch for one image: tap-major weights + padded image.
 
-    Sized per image, not per batch, so one buffer serves every batch size.
+    Sized per image, not per batch: the cache keeps one row of the image's
+    size, which serves every batch size.
     """
     size = c * (kh * kw + (h + 2 * padding) * (w + 2 * padding))
     if cache is not None:
-        return cache.get("dwpad", (size,), np.float32)
+        return cache.get("dwpad", (1, size), np.float32)
     return np.empty(size, dtype=np.float32)
 
 

@@ -221,13 +221,13 @@ def optimize_plan(plan: InferencePlan) -> InferencePlan:
 class MemoryPlan:
     """Static arena assignment for one plan at one per-sample input shape.
 
-    Slots are byte arenas sized per sample; at execution the engine
-    materialises each slot as a single uint8 buffer of ``slot_size * batch``
-    through the :class:`~repro.runtime.kernels.BufferCache` and hands kernels
-    contiguous typed views into it.  The plan input, the plan output (and
-    anything aliasing it), and ``opaque`` outputs stay unmanaged — the
-    output must survive arena reuse across chunks, and opaque modules
-    allocate their own results.
+    Slots are byte arenas sized per sample; at execution each slot is a
+    ``(batch, slot size)`` uint8 buffer of the
+    :class:`~repro.runtime.kernels.BufferCache`, and kernels get contiguous
+    typed views into it.  The plan input, the plan output (and anything
+    aliasing it), and ``opaque`` outputs stay unmanaged — the output must
+    survive arena reuse across chunks, and opaque modules allocate their own
+    results.
     """
 
     input_shape: Tuple[int, ...]              # per-sample plan input shape
@@ -237,18 +237,7 @@ class MemoryPlan:
     dtypes: Dict[str, str]                    # managed register -> dtype str
     slot_sizes: List[int]                     # per-slot per-sample bytes
     unplanned_per_sample: int                 # sum of every step-output's bytes
-    #: batch size the arena buffers are allocated for (the engine's
-    #: micro-batch): every chunk size up to it slices the same fixed-capacity
-    #: buffer, so varying batch sizes (dynamic batchers, remainder chunks)
-    #: cannot accumulate per-size buffers in the cache.
-    capacity_batch: int = 1
     _specs: Dict[str, Tuple] = field(default_factory=dict, repr=False)
-    #: bumped whenever the arena is rekeyed (capacity growth): caches stamp
-    #: the generation they materialised their slot buffers under, so every
-    #: cache — including the per-thread ones an engine registers — lazily
-    #: retires stale-capacity buffers on its next use instead of pinning
-    #: them forever (arena buffers are exempt from LRU eviction).
-    _arena_generation: int = field(default=0, repr=False)
 
     def __post_init__(self):
         for register, slot in self.slot_of.items():
@@ -276,36 +265,22 @@ class MemoryPlan:
     def out_view(self, register: str, batch: int, cache) -> Optional[np.ndarray]:
         """Typed contiguous view into the register's arena slot (or None).
 
-        Every chunk size up to ``capacity_batch`` slices the *front* of the
-        same fixed-capacity slot buffer: per-sample shapes scale linearly in
-        the leading (batch) dimension for every op in the plan vocabulary,
-        so the prefix of ``batch * nbytes`` bytes is exactly the contiguous
-        C-order layout the kernels' ``out=`` paths expect — remainder chunks
-        (``N % micro_batch != 0``) and first runs smaller than the
-        micro-batch reuse the full-chunk buffers without any stride games.
-        A chunk *larger* than the capacity (only reachable by executing the
-        plan directly, outside the engine, which clamps chunks to its
-        micro-batch) rekeys the arena at the larger capacity instead of
-        accumulating one eviction-exempt buffer per distinct oversize.
+        The slot is the leading ``batch`` rows of the cache's slot buffer
+        (see :class:`~repro.runtime.kernels.BufferCache`), and the view is
+        the prefix of ``batch * nbytes`` bytes of those rows: per-sample
+        shapes scale linearly in the leading (batch) dimension for every op
+        in the plan vocabulary, so that prefix is exactly the contiguous
+        C-order layout the kernels' ``out=`` paths expect, at every batch
+        size.
         """
         spec = self._specs.get(register)
         if spec is None:
             return None
         slot, shape, dtype, nbytes = spec
-        capacity = self.capacity_batch
-        generation = self._arena_generation
-        if batch > capacity:
-            self.capacity_batch = capacity = batch
-            generation = self._arena_generation = generation + 1
-        if getattr(cache, "_arena_generation", None) != generation:
-            # First contact of this cache with the current arena keying
-            # (or a capacity bump happened since): retire whatever arena
-            # buffers the cache still holds under the old keys.
-            cache.drop_arena()
-            cache._arena_generation = generation
-        buffer = cache.get(f"arena:{slot}",
-                           (self.slot_sizes[slot] * capacity,), np.uint8)
-        return buffer[:nbytes * batch].view(dtype).reshape((batch,) + shape)
+        rows = cache.get(f"arena:{slot}", (batch, self.slot_sizes[slot]),
+                         np.uint8)
+        return rows.reshape(-1)[:nbytes * batch].view(dtype) \
+            .reshape((batch,) + shape)
 
     def describe(self) -> str:
         """Summary lines appended by :meth:`InferencePlan.describe`."""
@@ -323,16 +298,15 @@ class MemoryPlan:
 
 
 def plan_memory(plan: InferencePlan, recorded: Dict[str, Tuple],
-                batch_shape: Tuple[int, ...],
-                capacity_batch: Optional[int] = None) -> MemoryPlan:
+                batch_shape: Tuple[int, ...]) -> MemoryPlan:
     """Build a :class:`MemoryPlan` from one recorded execution.
 
     ``recorded`` maps each step output to its observed ``(shape, dtype
     string)`` at batch size ``batch_shape[0]`` (collected by
     ``InferencePlan.execute(..., record=...)``).  Registers whose leading
     dimension is not the batch size cannot be rescaled to other micro-batch
-    sizes and stay unmanaged.  ``capacity_batch`` sizes the arena buffers
-    (the engine passes its micro-batch); it defaults to the recorded batch.
+    sizes and stay unmanaged.  The plan holds per-sample sizes only; the
+    batch an arena buffer holds is decided where it is requested.
     """
     batch = int(batch_shape[0])
     alias_of: Dict[str, str] = {}
@@ -406,5 +380,4 @@ def plan_memory(plan: InferencePlan, recorded: Dict[str, Tuple],
     return MemoryPlan(input_shape=tuple(int(dim) for dim in batch_shape[1:]),
                       slot_of=slot_of, alias_of=alias_of, shapes=shapes,
                       dtypes=dtypes, slot_sizes=slot_sizes,
-                      unplanned_per_sample=unplanned,
-                      capacity_batch=max(batch, capacity_batch or batch))
+                      unplanned_per_sample=unplanned)

@@ -197,9 +197,10 @@ class InferencePlan:
 
         Returns the output and the :data:`Program` of bound steps, which
         :meth:`replay` runs on any later input of ``x``'s shape and dtype
-        in the same execution context (``cache``, memory plan, arena
-        generation and native library).  ``constants`` maps a step index to
-        the derived weights every program of that step shares (see
+        in the same execution context (``cache``, memory plan and native
+        library) for as long as ``cache`` holds the buffers it was bound to.
+        ``constants`` maps a step index to the derived weights every
+        program of that step shares (see
         :func:`~repro.runtime.kernels._constant`); ``None`` derives them
         for this binding alone.
         """

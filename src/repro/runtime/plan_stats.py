@@ -9,7 +9,10 @@ optimized plan's ``pass_stats``) and ``compile_cold_ms``, the wall time of
 compiling and optimizing the backbone and FCR of a fresh predictor — the
 guard against cold-compile regressions.  ``native_kernels`` says whether
 the C kernels of :mod:`repro.runtime.native` ran the plan (``yes``) or the
-NumPy fallback did (``no``).
+NumPy fallback did (``no``).  ``cache_bytes`` is the scratch and arena
+memory of one execution context after every batch size from 1 to the
+micro-batch has run through the backbone: the bound that memory must not
+outgrow, whatever the mix of batch sizes.
 
 ``python -m repro.runtime.plan_stats <backbone> int8`` reports the integer
 plan instead: the model is put through the deterministic PTQ recipe (seeded
@@ -71,6 +74,7 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
     """Compile the backbone, serve one batch, and report plan/arena stats."""
     from ..models import get_config
     from . import native
+    from .engine import InferenceEngine
     from .predictor import BatchedPredictor
 
     # Load (or build) the C kernels before anything is timed or profiled.
@@ -92,6 +96,13 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
     memory_plan = engine.memory_plan
     peak = memory_plan.peak_bytes(engine.micro_batch)
     unplanned = memory_plan.unplanned_bytes(engine.micro_batch)
+    # A second, unprofiled one-thread engine over the same plan runs every
+    # batch size, so the --profile table still covers the warm-up alone.
+    bound = InferenceEngine(plan, micro_batch=engine.micro_batch,
+                            num_threads=1)
+    images = np.zeros((engine.micro_batch, 3, size, size), dtype=np.float32)
+    for batch in range(1, engine.micro_batch + 1):
+        bound.run(images[:batch])
     stats = {
         "backbone": backbone,
         "mode": predictor.mode,
@@ -102,6 +113,7 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
         "arena_peak_bytes": peak,
         "arena_unplanned_bytes": unplanned,
         "peak_reduction": round(1.0 - peak / unplanned, 3) if unplanned else 0.0,
+        "cache_bytes": bound.cache_bytes,
         "micro_batch": engine.micro_batch,
         "num_threads": engine.num_threads,
         "compile_cold_ms": round(compile_cold_ms, 2),

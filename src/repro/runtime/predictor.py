@@ -52,7 +52,6 @@ class BatchedPredictor:
 
     def __init__(self, model, micro_batch: int = DEFAULT_MICRO_BATCH,
                  mode: str = "float32", num_threads: Optional[int] = None,
-                 cache_budget: Optional[int] = None,
                  registry=None, profile: bool = False):
         if mode not in MODES:
             raise ValueError(f"unknown runtime mode {mode!r}; "
@@ -61,7 +60,6 @@ class BatchedPredictor:
         self.micro_batch = micro_batch
         self.mode = mode
         self.num_threads = num_threads
-        self.cache_budget = cache_budget
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry` the engines
         #: publish their gauges into (callback-valued, free per request).
         self.registry = registry
@@ -148,7 +146,7 @@ class BatchedPredictor:
             self._backbone_engine = InferenceEngine(
                 compile_backbone(self.model.backbone, mode=self.mode),
                 micro_batch=self.micro_batch, num_threads=self.num_threads,
-                cache_budget=self.cache_budget, registry=self.registry,
+                registry=self.registry,
                 metrics_prefix="engine.backbone", profiler=self.profiler)
             self._backbone_state = state
         return self._backbone_engine
@@ -169,8 +167,7 @@ class BatchedPredictor:
             self._fcr_engine = InferenceEngine(
                 compile_module(self.model.fcr, "fcr", mode=self.mode),
                 micro_batch=max(self.micro_batch, 512),
-                num_threads=self.num_threads,
-                cache_budget=self.cache_budget, registry=self.registry,
+                num_threads=self.num_threads, registry=self.registry,
                 metrics_prefix="engine.fcr", profiler=self.profiler)
             self._fcr_state = state
         return self._fcr_engine

@@ -17,6 +17,7 @@ from repro.quant import (
     quantize_ofscil_model,
     quantize_weights,
 )
+from repro.quant.activation_quant import DEFAULT_HOOK_TYPES
 
 BACKBONE = "mobilenetv2_x4_tiny"
 
@@ -92,10 +93,22 @@ class TestActivationQuantization:
 
     def test_detach_removes_hooks(self, rng):
         net = small_net()
+        # A hook registered before the pass survives detach, in its place.
+        hooked = next(module for _, module in net.named_modules()
+                      if isinstance(module, DEFAULT_HOOK_TYPES))
+
+        def own_hook(module, output):
+            return None
+        hooked.register_forward_hook(own_hook)
+        hooks = hooked._forward_hooks
         act_pass = ActivationQuantizationPass(net, bits=8)
+        assert len(hooked._forward_hooks) == 2
         act_pass.calibrate(rng.uniform(0, 1, (8, 3, 8, 8)).astype(np.float32))
         act_pass.detach()
-        assert all(not module._forward_hooks for _, module in net.named_modules())
+        assert hooked._forward_hooks is hooks            # removed in place
+        assert hooked._forward_hooks == [own_hook]
+        assert all(not module._forward_hooks for _, module in net.named_modules()
+                   if module is not hooked)
 
 
 class TestQuantizationWorkflow:

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.core import OFSCIL, OFSCILConfig
@@ -734,44 +736,37 @@ class TestArenaRemainderChunks:
         engine = InferenceEngine(plan, micro_batch=64, num_threads=1)
         engine.run(golden["images"][:3])          # records at batch 3
         assert engine.memory_plan is not None
-        assert engine.memory_plan.capacity_batch == 64
         np.testing.assert_array_equal(engine.run(golden["images"]),
                                       golden["theta_a"])
+        # The arena grew from the recording batch to the full chunk.
+        assert {len(buffer) for buffer in _arena(engine.cache).values()} \
+            == {len(golden["images"])}
 
-    def test_oversized_direct_execute_rekeys_the_arena(self, rng):
+    def test_oversized_direct_execute_grows_the_arena(self, rng):
         # Executing the plan directly (outside the engine, which clamps
-        # chunks to its micro-batch) with a batch beyond the arena capacity
-        # must neither corrupt results nor accumulate one eviction-exempt
-        # buffer per distinct oversize: the arena is rekeyed at the larger
-        # capacity.
+        # chunks to its micro-batch) with a batch beyond the largest one
+        # run so far must neither corrupt results nor keep a second buffer
+        # per slot: each slot buffer is replaced by one of the larger batch.
         model = make_model("mobilenetv2_x4_tiny")
         engine = InferenceEngine(compile_backbone(model.backbone),
                                  micro_batch=4)
         engine.run(rng.standard_normal((4, 3, 16, 16)).astype(np.float32))
         memory_plan = engine.memory_plan
         # A second cache (standing in for a pool thread's) materialises its
-        # arena under the original capacity.
+        # arena at the smaller batch.
         other_cache = BufferCache()
         small = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
         engine.plan.execute(small, other_cache, memory_plan=memory_plan)
         big = rng.standard_normal((9, 3, 16, 16)).astype(np.float32)
-        out = engine.plan.execute(big, engine.cache, memory_plan=memory_plan)
         reference = engine.plan.execute(big, BufferCache())
-        np.testing.assert_array_equal(out, reference)
-        assert memory_plan.capacity_batch == 9
-        arena_keys = [key for key in engine.cache._buffers
-                      if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(arena_keys) == memory_plan.num_slots
-        # The other cache retires its stale-capacity buffers lazily on its
-        # next planned execute instead of pinning them forever (arena
-        # buffers are exempt from LRU eviction).
-        np.testing.assert_array_equal(
-            engine.plan.execute(big, other_cache, memory_plan=memory_plan),
-            reference)
-        other_arena = [key for key in other_cache._buffers
-                       if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(other_arena) == memory_plan.num_slots
-        other_cache.check_invariants()
+        for cache in (engine.cache, other_cache):
+            np.testing.assert_array_equal(
+                engine.plan.execute(big, cache, memory_plan=memory_plan),
+                reference)
+            arena = _arena(cache)
+            assert len(arena) == memory_plan.num_slots
+            assert sum(buffer.nbytes for buffer in arena.values()) \
+                == memory_plan.peak_bytes(9)
 
 
 # ---------------------------------------------------------------------------
@@ -838,124 +833,54 @@ class TestThreadedEngine:
 
 
 # ---------------------------------------------------------------------------
-# LRU-bounded buffer cache
+# Buffer cache: one buffer per tag and per-sample shape, grown to the largest
+# batch
 # ---------------------------------------------------------------------------
-class TestBufferCacheBudget:
-    def test_unbounded_by_default(self):
+def _arena(cache) -> dict:
+    """The arena slot buffers a cache holds, by key."""
+    return {key: buffer for key, buffer in cache._buffers.items()
+            if key[0].startswith("arena:")}
+
+
+class TestBufferCache:
+    def test_one_buffer_per_tag(self):
         cache = BufferCache()
         for index in range(8):
             cache.get(f"tag{index}", (1024,), np.float32)
         assert len(cache) == 8
 
-    def test_lru_eviction_past_budget(self):
-        cache = BufferCache(max_bytes=3 * 4096)
-        for index in range(3):
-            cache.get(f"tag{index}", (1024,), np.float32)   # 4 KiB each
-        cache.get("tag0", (1024,), np.float32)              # refresh tag0
-        cache.get("tag3", (1024,), np.float32)              # evicts tag1 (LRU)
-        tags = {key[0] for key in cache._buffers}
-        assert tags == {"tag0", "tag2", "tag3"}
-        assert cache.nbytes == 3 * 4096
-        cache.check_invariants()
-
-    def test_requested_buffer_is_never_evicted(self):
-        cache = BufferCache(max_bytes=1024)
-        big = cache.get("big", (4096,), np.float32)         # over budget alone
-        assert cache.get("big", (4096,), np.float32) is big
-        assert len(cache) == 1
-        cache.check_invariants()
-
     def test_nbytes_tracks_clear(self):
-        cache = BufferCache(max_bytes=10 * 4096)
+        cache = BufferCache()
         cache.get("a", (1024,), np.float32)
         assert cache.nbytes == 4096
         cache.clear()
         assert cache.nbytes == 0 and len(cache) == 0
-        cache.check_invariants()
 
-    def test_byte_accounting_survives_drop_evict_reget_sequences(self):
-        # The counters are maintained incrementally; any desync across
-        # drop_arena + LRU eviction + same-key re-get sequences would skew
-        # the budget and every cache_bytes stat.  check_invariants recomputes
-        # both sums from the held buffers after every mutation.
-        rng = np.random.default_rng(0)
-        for budget in (None, 64, 1024):
-            cache = BufferCache(max_bytes=budget)
-            for _ in range(2000):
-                action = rng.integers(0, 10)
-                if action < 7:
-                    arena = rng.integers(0, 3) == 0
-                    tag = ("arena:" if arena else "") + f"t{rng.integers(0, 6)}"
-                    dtype = np.uint8 if rng.integers(0, 2) else np.float32
-                    cache.get(tag, (int(rng.integers(1, 64)),), dtype)
-                elif action < 9:
-                    cache.drop_arena()
-                else:
-                    cache.clear()
-                cache.check_invariants()
+    def test_requests_slice_one_buffer_grown_to_the_largest_batch(self):
+        cache = BufferCache()
+        first = cache.get("col", (4, 3, 5), np.float32)
+        smaller = cache.get("col", (2, 3, 5), np.float32)
+        assert smaller.shape == (2, 3, 5) and smaller.flags.c_contiguous
+        assert smaller.ctypes.data == first.ctypes.data
+        assert cache.nbytes == 4 * 3 * 5 * 4
+        larger = cache.get("col", (6, 3, 5), np.float32)
+        assert larger.base is not first.base       # replaced, not added
+        assert len(cache) == 1 and cache.nbytes == 6 * 3 * 5 * 4
+        assert cache.get("col", (4, 3, 5), np.float32).base is larger.base
+        # Another per-sample shape or dtype is another buffer.
+        cache.get("col", (4, 3, 6), np.float32)
+        cache.get("col", (4, 3, 5), np.float64)
+        assert len(cache) == 3
 
-    def test_engine_caches_keep_consistent_accounting(self, rng):
-        model = make_model("mobilenetv2_x4_tiny")
-        engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=8, cache_budget=1 << 18)
-        for batch in (16, 3, 16, 5):
-            engine.run(rng.standard_normal((batch, 3, 16, 16))
-                       .astype(np.float32))
-        for cache in engine._caches:
-            cache.check_invariants()
-
-    @pytest.mark.parametrize("num_threads", [1, 2])
-    def test_engine_budget_bounds_cache(self, num_threads, rng):
-        # The budget bounds the engine as a whole: the caller's cache plus
-        # one per pool thread.  Each cache may exceed its share by the one
-        # buffer it just handed out, and arena buffers are exempt.
-        model = make_model("mobilenetv2_x4_tiny")
-        budget = 1 << 20
-        engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=16, num_threads=num_threads,
-                                 cache_budget=budget)
-        engine.run(rng.standard_normal((48, 3, 16, 16)).astype(np.float32))
-        exempt = sum(buffer.nbytes
-                     for cache in engine._caches
-                     for key, buffer in cache._buffers.items()
-                     if key[0].startswith(BufferCache.ARENA_PREFIX))
-        slack = sum(max(buffer.nbytes for buffer in cache._buffers.values())
-                    for cache in engine._caches if cache._buffers)
-        assert engine.cache_bytes <= budget + exempt + slack
-        engine.close()
-
-    @pytest.mark.parametrize("num_threads", [1, 2])
-    def test_arena_buffers_are_never_evicted(self, num_threads, rng):
-        # A budget below the arena working set must not make every step's
-        # out_view evict the other slots: the budget governs scratch only,
-        # so planned execution stays allocation-free and bit-correct.
-        model = make_model("mobilenetv2_x4_tiny")
-        plan = compile_backbone(model.backbone)
-        images = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
-        tight = InferenceEngine(plan, micro_batch=8, num_threads=num_threads,
-                                cache_budget=1)
-        reference = InferenceEngine(plan, micro_batch=8)
-        np.testing.assert_array_equal(tight.run(images), reference.run(images))
-        # Every cache that executed a planned chunk holds the full arena
-        # (the caller's cache only records the first chunk when the
-        # remaining chunks went to the pool).
-        arena_counts = [sum(key[0].startswith(BufferCache.ARENA_PREFIX)
-                            for key in cache._buffers)
-                        for cache in tight._caches]
-        assert any(arena_counts)
-        assert set(arena_counts) <= {0, tight.memory_plan.num_slots}
-        tight.close()
-        reference.close()
-
-    def test_arena_bytes_do_not_consume_the_scratch_budget(self, rng):
-        # Arena bytes exceeding max_bytes must not evict scratch buffers on
-        # every get (the im2col/pad reuse the 4.5x floor depends on).
-        cache = BufferCache(max_bytes=4096)
-        cache.get("arena:0", (1 << 20,), np.uint8)     # 1 MiB, over budget
-        pad = cache.get("pad", (512,), np.float32)     # 2 KiB scratch
-        assert cache.get("col", (256,), np.float32) is not None
-        assert cache.get("pad", (512,), np.float32) is pad   # not thrashed
-        assert cache._scratch_nbytes <= cache.max_bytes
+    def test_growth_drops_the_programs_and_a_new_key_does_not(self):
+        cache = BufferCache()
+        cache.get("pad", (4, 8), np.float32)
+        cache.programs["kept"] = []
+        cache.get("pad", (2, 8), np.float32)
+        cache.get("col", (9, 8), np.float32)
+        assert "kept" in cache.programs
+        cache.get("pad", (5, 8), np.float32)
+        assert not cache.programs
 
     def test_varying_chunk_sizes_reuse_one_buffer_per_slot(self, rng):
         # Dynamic batchers produce many distinct batch sizes; the arena must
@@ -966,32 +891,29 @@ class TestBufferCacheBudget:
         for batch in (32, 1, 7, 13, 32, 5, 19):
             engine.run(rng.standard_normal((batch, 3, 16, 16))
                        .astype(np.float32))
-        arena_keys = [key for key in engine.cache._buffers
-                      if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(arena_keys) == engine.memory_plan.num_slots
-        assert sum(engine.cache._buffers[key].nbytes
-                   for key in arena_keys) == \
+        arena = _arena(engine.cache)
+        assert len(arena) == engine.memory_plan.num_slots
+        assert sum(buffer.nbytes for buffer in arena.values()) == \
             engine.memory_plan.peak_bytes(engine.micro_batch)
 
-    def test_restored_plan_capacity_is_raised_to_the_micro_batch(self, rng):
-        # A shipped memory plan recorded at a smaller micro-batch must not
-        # key one eviction-exempt arena buffer per distinct larger chunk
-        # size: the accepting engine raises the capacity to its own
-        # micro-batch.
+    def test_restored_plan_arena_grows_to_the_largest_chunk(self, rng):
+        # A shipped memory plan recorded at a smaller micro-batch holds
+        # per-sample sizes only: the accepting engine's arena grows to its
+        # largest chunk, one buffer per slot.
         model = make_model("mobilenetv2_x4_tiny")
         small = InferenceEngine(compile_backbone(model.backbone),
                                 micro_batch=8)
         small.run(rng.standard_normal((8, 3, 16, 16)).astype(np.float32))
-        assert small.memory_plan.capacity_batch == 8
         big = InferenceEngine(small.plan, micro_batch=32,
                               memory_plan=small.memory_plan)
-        assert big.memory_plan.capacity_batch == 32
-        for batch in (32, 16, 24, 32):
+        assert big.memory_plan is small.memory_plan
+        for batch in (16, 32, 24, 32):
             big.run(rng.standard_normal((batch, 3, 16, 16))
                     .astype(np.float32))
-        arena_keys = [key for key in big.cache._buffers
-                      if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(arena_keys) == big.memory_plan.num_slots
+        arena = _arena(big.cache)
+        assert len(arena) == big.memory_plan.num_slots
+        assert sum(buffer.nbytes for buffer in arena.values()) == \
+            big.memory_plan.peak_bytes(32)
 
     def test_counters_track_completed_chunks_only(self, rng):
         calls = []
@@ -1017,12 +939,10 @@ class TestBufferCacheBudget:
         engine = InferenceEngine(compile_backbone(model.backbone),
                                  micro_batch=4)
         engine.run(rng.standard_normal((8, 3, 16, 16)).astype(np.float32))
-        stale = {key for key in engine.cache._buffers
-                 if key[0].startswith(BufferCache.ARENA_PREFIX)}
+        stale = set(_arena(engine.cache))
         assert stale
         engine.run(rng.standard_normal((8, 3, 20, 20)).astype(np.float32))
-        current = {key for key in engine.cache._buffers
-                   if key[0].startswith(BufferCache.ARENA_PREFIX)}
+        current = set(_arena(engine.cache))
         assert current and not (stale & current)
         assert len(current) == engine.memory_plan.num_slots
 
@@ -1085,37 +1005,6 @@ class TestBoundPrograms:
         # One program per batch size, each replayed after the first call.
         assert _kept_programs(engine) == 3
 
-    def test_lru_eviction_drops_the_programs(self, program_plan, rng):
-        # A budget that holds one batch size's scratch: binding a second
-        # batch size evicts the first one's buffers.
-        probe = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
-        images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
-        probe.run(images)
-        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1,
-                                 cache_budget=probe.cache._scratch_nbytes)
-        for _ in range(2):
-            _assert_replay_matches_fresh(engine, images)
-        assert _kept_programs(engine) == 1 and engine.cache.evictions == 0
-        refs = _buffer_refs(engine)
-        _assert_replay_matches_fresh(engine, images[:5])
-        assert engine.cache.evictions > 0
-        _assert_released_buffers_are_free(engine, refs)
-        _assert_replay_matches_fresh(engine, images)
-        engine.cache.check_invariants()
-
-    def test_a_budget_below_one_call_keeps_no_program(self, program_plan,
-                                                      rng):
-        # Every binding evicts buffers it bound earlier in the same call, so
-        # a kept program would pin them: each call binds afresh instead.
-        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1,
-                                 cache_budget=1)
-        images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
-        for _ in range(3):
-            refs = _buffer_refs(engine)
-            _assert_replay_matches_fresh(engine, images)
-            _assert_released_buffers_are_free(engine, refs)
-        assert engine.cache.evictions > 0 and _kept_programs(engine) == 0
-
     def test_clear_cache_drops_the_programs(self, program_plan, rng):
         engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
         images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
@@ -1128,20 +1017,22 @@ class TestBoundPrograms:
         _assert_released_buffers_are_free(engine, refs)
         _assert_replay_matches_fresh(engine, images)
 
-    def test_arena_capacity_growth_drops_the_programs(self, program_plan,
-                                                      rng):
-        engine = InferenceEngine(program_plan, micro_batch=4, num_threads=1)
-        images = rng.standard_normal((9, 3, 16, 16)).astype(np.float32)
+    def test_growth_drops_the_programs(self, program_plan, rng):
+        # A batch larger than any before replaces every buffer it outgrows;
+        # the programs bound to the smaller buffers must go with them.
+        engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
+        images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        for _ in range(3):
+            _assert_replay_matches_fresh(engine, images[:4])
+        assert _kept_programs(engine) == 1
+        refs = _buffer_refs(engine)
+        _assert_replay_matches_fresh(engine, images)
+        assert _kept_programs(engine) == 1       # only the new batch size
+        _assert_released_buffers_are_free(engine, refs)
         for _ in range(2):
             _assert_replay_matches_fresh(engine, images[:4])
-        refs = _buffer_refs(engine)
-        # A direct execute past the arena capacity rekeys the arena.
-        engine.plan.execute(images, engine.cache,
-                            memory_plan=engine.memory_plan)
-        assert engine.memory_plan.capacity_batch == 9
-        _assert_replay_matches_fresh(engine, images[:4])
-        _assert_released_buffers_are_free(engine, refs)
-        _assert_replay_matches_fresh(engine, images[:4])
+            _assert_replay_matches_fresh(engine, images)
+        assert _kept_programs(engine) == 2
 
     def test_replan_drops_the_programs(self, program_plan, rng):
         engine = InferenceEngine(program_plan, micro_batch=4, num_threads=1)
@@ -1167,6 +1058,50 @@ class TestBoundPrograms:
         # The C program stays keyed under the library handle, unreplayed.
         assert sorted(key[-1] is None for key in engine.cache.programs) \
             == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# Scratch memory is bounded by construction: it follows the largest batch a
+# context has run, never the mix of batch sizes
+# ---------------------------------------------------------------------------
+#: Every batch size from 1 to the micro-batch once, in a fixed shuffled order.
+ALL_BATCHES = [int(batch) for batch in
+               np.random.default_rng(0).permutation(np.arange(1, 65))]
+
+#: Input pool the bounded-memory property slices its batches from.
+BOUND_IMAGES = np.random.default_rng(7).standard_normal(
+    (128, 3, 16, 16)).astype(np.float32)
+
+@pytest.fixture(scope="module")
+def fresh_cache_bytes(program_plan):
+    """``batch -> cache_bytes`` of a fresh engine that ran ``batch`` twice."""
+    @functools.lru_cache(maxsize=None)
+    def measure(batch: int) -> int:
+        engine = InferenceEngine(program_plan, micro_batch=64, num_threads=1)
+        for _ in range(2):            # record the memory plan, then bind
+            engine.run(BOUND_IMAGES[:batch])
+        return engine.cache_bytes
+    return measure
+
+
+class TestBoundedScratch:
+    @settings(max_examples=4, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(batches=st.lists(st.integers(1, 64), min_size=1, max_size=6))
+    @example(batches=ALL_BATCHES)
+    def test_cache_bytes_follow_the_largest_batch(self, program_plan,
+                                                  fresh_cache_bytes,
+                                                  batches):
+        engine = InferenceEngine(program_plan, micro_batch=64, num_threads=1)
+        largest = 0
+        for index, batch in enumerate(batches):
+            start = index % 64
+            _assert_replay_matches_fresh(
+                engine, BOUND_IMAGES[start:start + batch])
+            largest = max(largest, batch)
+            assert engine.cache_bytes <= fresh_cache_bytes(largest)
+        if sorted(batches) == list(range(1, 65)):
+            assert engine.cache_bytes == fresh_cache_bytes(64)
 
 
 # ---------------------------------------------------------------------------

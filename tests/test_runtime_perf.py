@@ -19,6 +19,7 @@ The same harness enforces the arena's memory contract — the planned
 throughput ratio.
 """
 
+import statistics
 import time
 from pathlib import Path
 
@@ -192,8 +193,13 @@ def test_compile_then_optimize(backbone, mode):
 #: (ResNet-20).  0.45 is about 0.7x the lowest of them — the headroom the
 #: floor has always had — and still catches a real integer-path regression,
 #: e.g. the C kernels silently falling back to NumPy or an accidental
-#: float64 promotion.
+#: float64 promotion.  The floor judges the median of ``INT8_REPEATS``
+#: warmed, interleaved repeats: a single shot timed the first binding and
+#: scratch of the 64-sample chunks, and swung with the host.
 INT8_REQUIRED_RATIO = 0.45
+
+#: Interleaved float32/int8 repeats the judged median ratio is taken over.
+INT8_REPEATS = 11
 
 #: Per-family int8 bench configuration, both families floored by the shared
 #: ``INT8_REQUIRED_RATIO``.
@@ -234,30 +240,69 @@ def test_int8_vs_float32_throughput_recorded(backbone, required_ratio):
     rng = np.random.default_rng(2)
     images = rng.standard_normal((samples, 3, 16, 16)).astype(np.float32)
 
-    def throughput(predictor) -> float:
-        predictor.embed(images[:32])                # warm compile + caches
-        start = time.perf_counter()
-        predictor.embed(images)
-        return samples / (time.perf_counter() - start)
+    def rates() -> dict:
+        """One 192-sample ``embed`` per predictor, float32 first."""
+        figures = {}
+        for mode, predictor in (("float32", float_predictor),
+                                ("int8", int8_predictor)):
+            start = time.perf_counter()
+            predictor.embed(images)
+            figures[f"{mode}_samples_per_s"] = round(
+                samples / (time.perf_counter() - start), 1)
+        figures["ratio"] = round(figures["int8_samples_per_s"]
+                                 / figures["float32_samples_per_s"], 3)
+        return figures
 
-    float_rate = throughput(float_predictor)
-    int8_rate = throughput(int8_predictor)
-    ratio = int8_rate / float_rate
+    # The first call records the memory plan, binds the chunk programs and
+    # allocates their scratch: it is kept as the cold figure, not judged.
+    cold = rates()
+    before = _cpu_jiffies()
+    repeats = [rates() for _ in range(INT8_REPEATS)]
+    after = _cpu_jiffies()
+    ratio = statistics.median(repeat["ratio"] for repeat in repeats)
     record = {
         "kind": "int8_vs_float32",
         "backbone": backbone,
         "samples": samples,
-        "int8_samples_per_s": round(int8_rate, 1),
-        "float32_samples_per_s": round(float_rate, 1),
+        "int8_samples_per_s": statistics.median(
+            repeat["int8_samples_per_s"] for repeat in repeats),
+        "float32_samples_per_s": statistics.median(
+            repeat["float32_samples_per_s"] for repeat in repeats),
         "int8_over_float32_ratio": round(ratio, 3),
+        "repeats": repeats,
+        "cold": cold,
+        "steal_share": _steal_share(before, after),
         "required_ratio": required_ratio,
         "integer_steps": int8_predictor.backbone_engine.plan.num_integer(),
         **host_record(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     append_keyed_bench_record(BENCH_PATH, "int8_vs_float32", record)
-    assert int8_rate > 0 and float_rate > 0
+    assert record["int8_samples_per_s"] > 0 \
+        and record["float32_samples_per_s"] > 0
     if required_ratio is not None:
         assert ratio >= required_ratio, (
-            f"int8 runtime fell to {ratio:.2f}x of float32 throughput "
-            f"(required >= {required_ratio}x); see {BENCH_PATH}")
+            f"int8 runtime fell to a median {ratio:.2f}x of float32 "
+            f"throughput over {INT8_REPEATS} repeats (required >= "
+            f"{required_ratio}x); see {BENCH_PATH}")
+
+
+def _cpu_jiffies():
+    """``(total, steal)`` of the ``cpu`` line of ``/proc/stat``, or None.
+
+    Guest time is already counted in user time, so the total is the sum of
+    the first eight fields; steal is the eighth.
+    """
+    try:
+        with open("/proc/stat") as stat:
+            fields = [int(value) for value in stat.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return sum(fields), fields[7]
+
+
+def _steal_share(before, after):
+    """Share of the host's CPU time the hypervisor stole between two reads."""
+    if before is None or after is None or after[0] <= before[0]:
+        return None
+    return round((after[1] - before[1]) / (after[0] - before[0]), 4)
