@@ -882,6 +882,77 @@ class TestBufferCache:
         cache.get("pad", (5, 8), np.float32)
         assert not cache.programs
 
+    def test_buffers_follow_the_largest_request_over_get_clear_sequences(
+            self):
+        # Model check over random request/clear sequences: each key holds
+        # the rows of its largest request since the last clear, every
+        # request gets the leading rows of that buffer, only growth or a
+        # clear drops the programs, and nbytes sums what is held.
+        rng = np.random.default_rng(0)
+        cache = BufferCache()
+        rows = {}
+        for _ in range(2000):
+            if rng.integers(0, 20) == 0:
+                cache.clear()
+                rows.clear()
+                assert len(cache) == 0 and cache.nbytes == 0
+                assert not cache.programs
+                continue
+            tag = ("arena:" if rng.integers(0, 3) == 0 else "t") \
+                + str(rng.integers(0, 3))
+            sample = tuple(int(size) for size in
+                           rng.integers(1, 4, int(rng.integers(0, 3))))
+            dtype = np.dtype(np.uint8 if rng.integers(0, 2) else np.float32)
+            batch = int(rng.integers(1, 9))
+            key = (tag, sample, dtype.str)
+            grows = key in rows and batch > rows[key]
+            cache.programs["bound"] = []
+            view = cache.get(tag, (batch,) + sample, dtype)
+            rows[key] = max(rows.get(key, 0), batch)
+            held = cache._buffers[key]
+            assert len(held) == rows[key]
+            assert view.shape == (batch,) + sample and view.dtype == dtype
+            assert view.flags.c_contiguous and view.base is held
+            assert view.ctypes.data == held.ctypes.data
+            assert ("bound" in cache.programs) is not grows
+            assert len(cache) == len(rows)
+            assert cache.nbytes == sum(
+                count * int(np.prod(shape, dtype=np.int64))
+                * np.dtype(dtype_str).itemsize
+                for (_, shape, dtype_str), count in rows.items())
+
+    def test_arena_views_slice_one_buffer_per_slot(self, rng):
+        # out_view asks for (batch, slot bytes) rows and views their typed
+        # prefix: every register a slot hosts, at every batch, starts at
+        # the slot buffer's address, and the buffer grows only to the
+        # largest batch.
+        model = make_model("mobilenetv2_x4_tiny")
+        engine = InferenceEngine(compile_backbone(model.backbone),
+                                 micro_batch=8)
+        engine.run(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
+        memory_plan = engine.memory_plan
+        hosted = {}
+        for register, slot in memory_plan.slot_of.items():
+            hosted.setdefault(slot, []).append(register)
+        slot, registers = max(hosted.items(), key=lambda item: len(item[1]))
+        assert len(registers) >= 2
+        key = (f"arena:{slot}", (memory_plan.slot_sizes[slot],),
+               np.dtype(np.uint8).str)
+        cache = BufferCache()
+        largest = 0
+        for batch in (3, 5, 2, 5, 1):
+            largest = max(largest, batch)
+            for register in registers:
+                view = memory_plan.out_view(register, batch, cache)
+                held = cache._buffers[key]
+                assert len(cache) == 1 and len(held) == largest
+                assert view.shape == (batch,) + memory_plan.shapes[register]
+                assert view.dtype == np.dtype(memory_plan.dtypes[register])
+                assert view.flags.c_contiguous and view.flags.writeable
+                assert view.ctypes.data == held.ctypes.data
+                assert view.nbytes <= held[:batch].nbytes
+        assert memory_plan.out_view("not-a-register", 3, cache) is None
+
     def test_varying_chunk_sizes_reuse_one_buffer_per_slot(self, rng):
         # Dynamic batchers produce many distinct batch sizes; the arena must
         # not retain one buffer per (slot, size) pair.
@@ -985,6 +1056,14 @@ def _kept_programs(engine) -> int:
     return sum(len(cache.programs) for cache in engine._caches)
 
 
+def _chunked_reference(engine, images):
+    """The engine's micro-batch chunks, each run through a fresh cache."""
+    return np.concatenate([
+        engine.plan.execute(images[start:start + engine.micro_batch],
+                            BufferCache())
+        for start in range(0, len(images), engine.micro_batch)])
+
+
 @pytest.fixture(scope="module", params=["float32", "int8"])
 def program_plan(request):
     """The tiny MobileNetV2 backbone plan in both modes."""
@@ -1046,6 +1125,20 @@ class TestBoundPrograms:
         _assert_released_buffers_are_free(engine, refs)
         _assert_replay_matches_fresh(engine, small)
 
+    def test_programs_are_bounded_by_the_micro_batch(self, program_plan, rng):
+        # Programs are the only per-batch-size state a context keeps: one
+        # per chunk size, so never more than the micro-batch.
+        engine = InferenceEngine(program_plan, micro_batch=4, num_threads=1)
+        batches = [int(batch) for batch in rng.permutation(np.arange(1, 11))]
+        for _ in range(2):
+            for batch in batches:
+                images = BOUND_IMAGES[:batch]
+                _poison(engine.cache)
+                np.testing.assert_array_equal(
+                    engine.run(images), _chunked_reference(engine, images))
+                assert len(engine.cache.programs) <= engine.micro_batch
+        assert sorted(key[1] for key in engine.cache.programs) == [1, 2, 3, 4]
+
     def test_switching_the_library_off_rebinds_to_numpy(
             self, program_plan, rng, c_kernels, numpy_kernels):
         engine = InferenceEngine(program_plan, micro_batch=8, num_threads=1)
@@ -1102,6 +1195,84 @@ class TestBoundedScratch:
             assert engine.cache_bytes <= fresh_cache_bytes(largest)
         if sorted(batches) == list(range(1, 65)):
             assert engine.cache_bytes == fresh_cache_bytes(64)
+
+    def test_every_buffer_holds_the_largest_chunk(self, program_plan):
+        # Every request leads with the chunk's batch, but for the per-image
+        # depthwise scratch, which keeps one row: so a buffer grows only at
+        # its first request in a binding (see BufferCache).
+        engine = InferenceEngine(program_plan, micro_batch=64, num_threads=1)
+        for batch in (5, 17, 3, 17, 9):
+            engine.run(BOUND_IMAGES[:batch])
+        assert len(engine.cache) > engine.memory_plan.num_slots
+        for (tag, _, _), buffer in engine.cache._buffers.items():
+            assert len(buffer) == (1 if tag == "dwpad" else 17), tag
+
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_engine_memory_is_bounded_by_micro_batch_and_threads(
+            self, num_threads):
+        # Each context holds at most one set of buffers at the micro-batch,
+        # whatever mix of batch sizes the engine ran, and there is one
+        # context per pool thread plus the caller's.
+        plan = compile_backbone(make_model("mobilenetv2_x4_tiny").backbone)
+        one_set = InferenceEngine(plan, micro_batch=16, num_threads=1)
+        for _ in range(2):            # record the memory plan, then bind
+            one_set.run(BOUND_IMAGES[:16])
+        bound = one_set.cache_bytes
+        engine = InferenceEngine(plan, micro_batch=16,
+                                 num_threads=num_threads)
+        for batch in (48, 3, 16, 5, 33, 1, 64, 7):
+            images = BOUND_IMAGES[:batch]
+            for cache in engine._caches:
+                _poison(cache)
+            np.testing.assert_array_equal(
+                engine.run(images), _chunked_reference(engine, images))
+            assert len(engine._caches) <= 1 + num_threads
+            assert all(cache.nbytes <= bound for cache in engine._caches)
+            assert engine.cache_bytes <= bound * len(engine._caches)
+        engine.close()
+
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_arena_buffers_stay_resident(self, num_threads):
+        # Once a context has bound a chunk, chunks no larger than its
+        # largest slice the same arena buffers, and every context that has
+        # bound a chunk holds the whole arena at one row count.
+        engine = InferenceEngine(
+            compile_backbone(make_model("mobilenetv2_x4_tiny").backbone),
+            micro_batch=8, num_threads=num_threads)
+        engine.run(BOUND_IMAGES[:32])
+        resident = [(cache, _arena(cache)) for cache in engine._caches]
+        assert any(arena for _, arena in resident)
+        for batch in (32, 3, 8, 17):
+            images = BOUND_IMAGES[:batch]
+            np.testing.assert_array_equal(
+                engine.run(images), _chunked_reference(engine, images))
+        for cache, before in resident:
+            after = _arena(cache)
+            assert all(after[key] is buffer for key, buffer in before.items())
+        for cache in engine._caches:
+            arena = _arena(cache)
+            assert len(arena) in (0, engine.memory_plan.num_slots)
+            rows = {len(buffer) for buffer in arena.values()}
+            assert len(rows) <= 1
+            if arena:
+                assert sum(buffer.nbytes for buffer in arena.values()) == \
+                    engine.memory_plan.peak_bytes(rows.pop())
+        engine.close()
+
+    def test_cache_bytes_gauge_sums_every_context(self):
+        registry = MetricsRegistry()
+        engine = InferenceEngine(
+            compile_backbone(make_model("mobilenetv2_x4_tiny").backbone),
+            micro_batch=8, num_threads=2, registry=registry)
+        for batch in (32, 5, 17):
+            engine.run(BOUND_IMAGES[:batch])
+        held = sum(buffer.nbytes for cache in engine._caches
+                   for buffer in cache._buffers.values())
+        assert held > 0 and engine.cache_bytes == held
+        assert registry.scrape()["engine.cache_bytes"]["value"] == held
+        engine.clear_cache()
+        assert registry.scrape()["engine.cache_bytes"]["value"] == 0
+        engine.close()
 
 
 # ---------------------------------------------------------------------------
