@@ -119,3 +119,26 @@ def host_record() -> dict:
     except (AttributeError, OSError):
         cores = os.cpu_count()
     return {"cores": cores, "blas_threads": blas_threads()}
+
+
+def cpu_jiffies() -> Optional[tuple]:
+    """``(total, steal)`` of the ``cpu`` line of ``/proc/stat``, or None.
+
+    Guest time is already counted in user time, so the total is the sum of
+    the first eight fields; steal is the eighth.
+    """
+    try:
+        with open("/proc/stat") as stat:
+            fields = [int(value) for value in stat.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return sum(fields), fields[7]
+
+
+def steal_share(before, after) -> Optional[float]:
+    """Share of the host's CPU time the hypervisor stole between two
+    :func:`cpu_jiffies` reads: a slow repeat can then be told from a slow
+    host."""
+    if before is None or after is None or after[0] <= before[0]:
+        return None
+    return round((after[1] - before[1]) / (after[0] - before[0]), 4)

@@ -66,7 +66,7 @@ class BufferCache:
     :attr:`programs`.  A program holds views of the buffers it was bound
     to, so every release of a buffer — a buffer outgrown by a larger
     request, or :meth:`clear` — drops them all.  Every request of one
-    binding leads with its batch (the per-image depthwise scratch asks for
+    binding leads with its batch (the per-plane depthwise scratch asks for
     one row), so a buffer grows only at its first request in a binding, and
     the program being bound never holds a buffer the cache has released.
     """

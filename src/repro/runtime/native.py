@@ -170,14 +170,18 @@ def _data(array: np.ndarray, dtype, size: int) -> int:
     return array.ctypes.data
 
 
-def _scratch(cache, c: int, h: int, w: int, kh: int, kw: int,
-             padding: int) -> np.ndarray:
-    """Depthwise scratch for one image: tap-major weights + padded image.
+def _scratch(cache, h: int, w: int, padding: int, taps: int,
+             out_plane: int) -> np.ndarray:
+    """Depthwise scratch for one plane: the zero-haloed input plane, then
+    the ``taps`` weights and the ``out_plane`` accumulators of the int8
+    kernel.
 
-    Sized per image, not per batch: the cache keeps one row of the image's
-    size, which serves every batch size.
+    Sized per plane, not per batch or channel: the cache keeps one row of
+    this size, which serves every batch size.  The float32 kernel uses only
+    the padded plane but asks for the same size, so float32 and int8 layers
+    of one image size share one buffer.
     """
-    size = c * (kh * kw + (h + 2 * padding) * (w + 2 * padding))
+    size = (h + 2 * padding) * (w + 2 * padding) + taps + out_plane
     if cache is not None:
         return cache.get("dwpad", (1, size), np.float32)
     return np.empty(size, dtype=np.float32)
@@ -209,7 +213,7 @@ def bind_depthwise_f32(x: np.ndarray, weight: np.ndarray,
             and (bias is None or _ok(bias, np.float32, c))
             and (out is None or _ok(out, np.float32, out_size))):
         return None
-    scratch = _scratch(cache, c, h, w, kh, kw, padding)
+    scratch = _scratch(cache, h, w, padding, kh * kw, out_h * out_w)
     x0, x_address = _operand(x)
     out0, out_address = _operand(out)
     weight_address = weight.ctypes.data
@@ -249,7 +253,7 @@ def bind_depthwise_s8(q: np.ndarray, weight_q: np.ndarray,
             and _ok(bias_q, np.int32, c) and _ok(multiplier, np.float64, c)
             and (out is None or _ok(out, np.int8, out_size))):
         return None
-    scratch = _scratch(cache, c, h, w, kh, kw, padding)
+    scratch = _scratch(cache, h, w, padding, kh * kw, out_h * out_w)
     q0, q_address = _operand(q)
     out0, out_address = _operand(out)
     constants = (weight_q.ctypes.data, bias_q.ctypes.data,

@@ -6,15 +6,26 @@ row-major tap order.  It is the fallback when the C library of
 :mod:`repro.runtime.native` is not loaded, and the oracle here: the C
 kernels keep its per-element arithmetic and that of the NumPy epilogues
 (bias + activation for float32, requantization for int8), so outputs are
-bit-identical, signed zeros included.
+bit-identical, signed zeros included.  Inputs holding NaN keep NaN in the
+oracle's positions and every other bit, though not the NaN payloads.  The
+last tests check that every registry depthwise step binds a C kernel, so
+none falls back to NumPy without notice.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import OFSCIL, OFSCILConfig
+from repro.models import get_config, list_configs
 from repro.nn.conv import conv_output_size
-from repro.runtime import BufferCache
+from repro.runtime import BatchedPredictor, BufferCache
 from repro.runtime import kernels, native
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from int8_fixtures import build_quantized_model  # noqa: E402
 
 
 def _bits(array):
@@ -45,7 +56,17 @@ CASES = {
     "kernel1x1-stride2-pad1": (4, 5, 6, 1, 2, 1),
     "kernel5x5": (3, 9, 8, 5, 1, 2),
     "kernel5x5-stride2": (6, 11, 7, 5, 2, 2),
+    # Output rows of 1, 1, 7, 5 and 2 pixels: the tails of the kernels'
+    # vector loops along a row, and planes of one row or one pixel.
+    "one-pixel": (3, 1, 1, 3, 1, 1),
+    "two-by-two-stride2": (3, 2, 2, 3, 2, 1),
+    "row-tail": (5, 3, 7, 3, 1, 1),
+    "one-row-stride2": (4, 1, 9, 3, 2, 1),
+    "narrow-stride2": (3, 9, 3, 3, 2, 1),
 }
+
+#: The nine benchmark layers and the five row-tail shapes.
+SPECIAL_VALUE_CASES = list(CASES)[:9] + list(CASES)[-5:]
 
 #: (input dtype, weight/accumulation dtype): float32 activations, and int8
 #: codes against the two exact-GEMM accumulation dtypes.
@@ -147,6 +168,58 @@ def test_c_depthwise_is_bit_identical_to_the_numpy_step(case, kernel,
                     actual, expected, err_msg=f"batch={batch} act={act}")
 
 
+def _special_operands(rng, batch, c, h, w, k):
+    """Float32 operands whose inputs hold NaN, +inf, -inf and -0.0.
+
+    Channel 0 reads -0.0 wherever it holds no other special value, and a
+    tenth of the weights are zeros of either sign, so ``inf * 0`` makes NaN
+    inside the tap sums too.
+    """
+    x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
+    x[:, 0] = -0.0
+    special = rng.random(x.shape) < 0.1
+    x[special] = rng.choice(np.array([np.nan, np.inf, -np.inf, -0.0],
+                                     dtype=np.float32), special.sum())
+    weight = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+    zero = rng.random(weight.shape) < 0.1
+    weight[zero] = rng.choice(np.array([0.0, -0.0], dtype=np.float32),
+                              zero.sum())
+    return x, weight
+
+
+@pytest.mark.parametrize("case", SPECIAL_VALUE_CASES)
+def test_c_depthwise_f32_keeps_special_values(case, c_kernels):
+    """NaN where the oracle has NaN, and every other bit the oracle's.
+
+    Signed zeros and infinities must match bit for bit.  NaN payloads and
+    signs are not pinned: where two NaN operands meet in an add, the one
+    that propagates follows the operand order the vector unit sees, and
+    NumPy's own SIMD dispatch chooses that order on its side.
+    """
+    c, h, w, k, stride, padding = CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    cache = BufferCache()
+    for batch in (1, 7):
+        x, weight = _special_operands(rng, batch, c, h, w, k)
+        bias = rng.standard_normal(c).astype(np.float32)
+        bias[0] = -0.0
+        for b in (None, bias):
+            for act in kernels.ACTIVATIONS:
+                with np.errstate(invalid="ignore"):     # inf - inf, inf * 0
+                    expected = _float_oracle(x, weight, b, stride, padding,
+                                             act)
+                actual = np.zeros(expected.shape, dtype=np.float32)
+                assert native.depthwise_f32(x, weight, b, stride, padding,
+                                            act, cache, actual)
+                label = f"batch={batch} bias={b is not None} act={act}"
+                nan = np.isnan(expected)
+                np.testing.assert_array_equal(np.isnan(actual), nan,
+                                              err_msg=label)
+                np.testing.assert_array_equal(
+                    _bits(actual)[~nan], _bits(expected)[~nan],
+                    err_msg=label)
+
+
 @pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("case", list(CASES))
 def test_numpy_depthwise_writes_into_out_and_cache(case, mode):
@@ -202,7 +275,7 @@ def _poison(cache):
 
 def test_c_scratch_reuse_survives_poisoning(rng, c_kernels):
     # Layers with one padded size but different (h, padding) splits share
-    # the per-image scratch buffer.  Every cached buffer is poisoned before
+    # the per-plane scratch buffer.  Every cached buffer is poisoned before
     # each call, so any halo element the kernel fails to rewrite surfaces
     # in the output.
     channels = 3
@@ -231,3 +304,39 @@ def test_c_scratch_reuse_survives_poisoning(rng, c_kernels):
             codes, _int8_oracle(q, weight_q, bias_q, multiplier, 1, padding,
                                 -127, 127))
     assert [key[0] for key in cache._buffers] == ["dwpad"]
+
+
+#: The MobileNetV2 registry backbones, the ones with depthwise steps.
+MOBILENETS = [name for name in list_configs()
+              if get_config(name).family == "mobilenetv2"]
+
+
+def _numpy_tap_loop(*args, **kwargs):
+    raise AssertionError("a depthwise step bound the NumPy tap loop")
+
+
+def _embed_batches_1_and_5(predictor, size):
+    rng = np.random.default_rng(0)
+    for batch in (1, 5):
+        images = rng.standard_normal((batch, 3, size, size))
+        predictor.embed(images.astype(np.float32))
+
+
+@pytest.mark.parametrize("backbone", MOBILENETS)
+def test_every_registry_depthwise_step_binds_a_c_kernel(backbone, c_kernels,
+                                                         monkeypatch):
+    # With the library loaded, no registry depthwise shape falls back to
+    # the NumPy tap loop without notice.
+    model = OFSCIL.from_registry(backbone, OFSCILConfig(backbone=backbone),
+                                 seed=0)
+    monkeypatch.setattr(kernels, "bind_depthwise", _numpy_tap_loop)
+    _embed_batches_1_and_5(BatchedPredictor(model, mode="float32"),
+                           get_config(backbone).input_size)
+
+
+def test_int8_conformance_model_binds_c_depthwise_kernels(c_kernels,
+                                                          monkeypatch):
+    model, _ = build_quantized_model()
+    monkeypatch.setattr(kernels, "bind_depthwise", _numpy_tap_loop)
+    _embed_batches_1_and_5(BatchedPredictor(model, mode="int8"),
+                           get_config(model.config.backbone).input_size)

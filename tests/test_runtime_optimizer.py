@@ -1197,7 +1197,7 @@ class TestBoundedScratch:
             assert engine.cache_bytes == fresh_cache_bytes(64)
 
     def test_every_buffer_holds_the_largest_chunk(self, program_plan):
-        # Every request leads with the chunk's batch, but for the per-image
+        # Every request leads with the chunk's batch, but for the per-plane
         # depthwise scratch, which keeps one row: so a buffer grows only at
         # its first request in a binding (see BufferCache).
         engine = InferenceEngine(program_plan, micro_batch=64, num_threads=1)

@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from repro.core import OFSCIL, OFSCILConfig
-from repro.report import append_keyed_bench_record, host_record, \
-    load_keyed_bench
+from repro.report import append_keyed_bench_record, cpu_jiffies, \
+    host_record, load_keyed_bench, steal_share
 from repro.runtime import compare_with_eager
 
 BACKBONE = "mobilenetv2_x4_tiny"
@@ -256,9 +256,9 @@ def test_int8_vs_float32_throughput_recorded(backbone, required_ratio):
     # The first call records the memory plan, binds the chunk programs and
     # allocates their scratch: it is kept as the cold figure, not judged.
     cold = rates()
-    before = _cpu_jiffies()
+    before = cpu_jiffies()
     repeats = [rates() for _ in range(INT8_REPEATS)]
-    after = _cpu_jiffies()
+    after = cpu_jiffies()
     ratio = statistics.median(repeat["ratio"] for repeat in repeats)
     record = {
         "kind": "int8_vs_float32",
@@ -271,7 +271,7 @@ def test_int8_vs_float32_throughput_recorded(backbone, required_ratio):
         "int8_over_float32_ratio": round(ratio, 3),
         "repeats": repeats,
         "cold": cold,
-        "steal_share": _steal_share(before, after),
+        "steal_share": steal_share(before, after),
         "required_ratio": required_ratio,
         "integer_steps": int8_predictor.backbone_engine.plan.num_integer(),
         **host_record(),
@@ -285,24 +285,3 @@ def test_int8_vs_float32_throughput_recorded(backbone, required_ratio):
             f"int8 runtime fell to a median {ratio:.2f}x of float32 "
             f"throughput over {INT8_REPEATS} repeats (required >= "
             f"{required_ratio}x); see {BENCH_PATH}")
-
-
-def _cpu_jiffies():
-    """``(total, steal)`` of the ``cpu`` line of ``/proc/stat``, or None.
-
-    Guest time is already counted in user time, so the total is the sum of
-    the first eight fields; steal is the eighth.
-    """
-    try:
-        with open("/proc/stat") as stat:
-            fields = [int(value) for value in stat.readline().split()[1:9]]
-    except (OSError, ValueError):
-        return None
-    return sum(fields), fields[7]
-
-
-def _steal_share(before, after):
-    """Share of the host's CPU time the hypervisor stole between two reads."""
-    if before is None or after is None or after[0] <= before[0]:
-        return None
-    return round((after[1] - before[1]) / (after[0] - before[0]), 4)
