@@ -678,13 +678,15 @@ def scenario_ring_exhaustion(seed: int) -> dict:
             "checks": run.checks}
 
 
-def _await_recovery(run: ScenarioRun, worker: int, old_pid: int,
-                    deadline_s: float = RECOVERY_WINDOW_S) -> float:
-    """Block until ``worker`` is live again under a *new* pid; returns the
-    observed wall-clock recovery time.  Raises :class:`ScenarioFailure` if
-    the bounded window elapses first — an unbounded wait would turn a
-    respawn bug into a hung CI job."""
-    engine = run.server.engine
+def await_recovery(engine, worker: int, old_pid: int,
+                   deadline_s: float = RECOVERY_WINDOW_S,
+                   label: str = "recovery") -> float:
+    """Block until ``worker`` of a :class:`~repro.serve.ShardedEngine` is
+    live again under a *new* pid; returns the observed wall-clock recovery
+    time.  Polls every 20 ms: a loop without a sleep would compete for the
+    GIL and a core with the supervisor and the child it waits for.  Raises
+    :class:`ScenarioFailure` if the bounded window elapses first — an
+    unbounded wait would turn a respawn bug into a hung CI job."""
     started = time.monotonic()
     while time.monotonic() - started < deadline_s:
         if (worker in engine.live_workers
@@ -692,7 +694,7 @@ def _await_recovery(run: ScenarioRun, worker: int, old_pid: int,
             return time.monotonic() - started
         time.sleep(0.02)
     raise ScenarioFailure(
-        f"[{run.name}] FAILED: worker {worker} not respawned within "
+        f"[{label}] FAILED: worker {worker} not respawned within "
         f"{deadline_s:.0f}s (live={engine.live_workers}, "
         f"gave_up={engine.gave_up_workers})")
 
@@ -712,7 +714,8 @@ def scenario_kill_recover(seed: int) -> dict:
         run.server.predict(run.queries[:8])          # warm both replicas
         old_pid = run.server.engine.worker_pids[1]
         run.chaos.kill_worker(1)
-        recovered_s = _await_recovery(run, 1, old_pid)
+        recovered_s = await_recovery(run.server.engine, 1, old_pid,
+                                     label=run.name)
         run.check(recovered_s < RECOVERY_WINDOW_S,
                   "full worker count restored within the bounded window "
                   f"({recovered_s:.2f}s)")
@@ -737,6 +740,10 @@ def scenario_kill_recover(seed: int) -> dict:
                   "no shard left dead after recovery")
         run.check(report["worker_restarts"] == 1,
                   "stats count exactly one supervised restart")
+        run.check(report["worker_failures"] == 1,
+                  "stats count exactly one worker failure")
+        run.check(report["gave_up_workers"] == [],
+                  "one kill leaves the crash-loop budget intact")
         latency = report["last_recovery_latency_s"]
         run.check(latency is not None and 0.0 < latency < RECOVERY_WINDOW_S,
                   "recovery latency measured and within the window")
@@ -837,7 +844,8 @@ def scenario_sigstop_escalation(seed: int) -> dict:
         run.server.predict(run.queries[:8])          # warm both replicas
         old_pid = run.server.engine.worker_pids[0]
         run.chaos.hang_worker(0)
-        recovered_s = _await_recovery(run, 0, old_pid)
+        recovered_s = await_recovery(run.server.engine, 0, old_pid,
+                                     label=run.name)
         run.check(recovered_s < RECOVERY_WINDOW_S,
                   "hung shard escalated and respawned within the window "
                   f"({recovered_s:.2f}s)")
@@ -898,7 +906,7 @@ def scenario_restart_replay(seed: int) -> dict:
         # Learn while the supervisor is mid-recovery: the append and the
         # respawned shard's resync must not step on each other.
         run.server.learn_class(learn_shots_for(learned[3]), learned[3])
-        _await_recovery(run, 1, old_pid)
+        await_recovery(run.server.engine, 1, old_pid, label=run.name)
         run.parity_sweep("post-crash, pre-restart")
         memory = run.model.memory
         saved_matrix, saved_ids = memory.prototype_matrix()
@@ -928,6 +936,9 @@ def scenario_restart_replay(seed: int) -> dict:
         run.check(
             np.array_equal(restored.predict(run.queries), saved_predictions),
             "served predictions after restore bit-identical to pre-restart")
+        run.check(all(record["prototype_version"] == model.memory.version
+                      for record in restored.worker_stats()),
+                  "restore resynced every worker to the restored version")
         run.check(applied == restored.restore(journal_path) + applied,
                   "replay is idempotent (a second restore applies nothing)")
     finally:

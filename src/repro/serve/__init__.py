@@ -19,7 +19,8 @@ one process; this package scales that out to a pool of worker processes:
   and a supervisor that respawns the shard with backoff
   (:mod:`repro.serve.backoff`), resyncs its state, and rejoins it (up to a
   crash-loop budget); heartbeat-silent shards (SIGSTOP, livelock) are
-  escalated to the same path;
+  escalated to the same path, and every state change of a shard goes
+  through one transition table;
 * :mod:`repro.serve.journal` — :class:`LearnJournal`, the write-ahead
   ``learn_class`` log: checksummed append-only records replayed by
   :meth:`Server.restore` so online-learned classes survive a full server

@@ -218,16 +218,24 @@ class Server:
             fsync_interval_s=journal_fsync_interval_s) \
             if journal_path is not None else None
         snapshot = snapshot_model(model, micro_batch=self.micro_batch)
-        self.engine = ShardedEngine(
-            snapshot, num_workers=num_workers, start_method=start_method,
-            blas_threads_per_worker=blas_threads_per_worker,
-            use_shared_memory=use_shared_memory,
-            ring_slots=ring_slots, slot_bytes=slot_bytes,
-            watchdog_interval_s=watchdog_interval_s,
-            max_respawns=max_respawns, respawn_backoff=respawn_backoff,
-            respawn_reset_s=respawn_reset_s, hang_silence_s=hang_silence_s,
-            recovery_listener=self.stats.observe_recovery_event,
-            tracer=self.tracer, chaos=chaos)
+        try:
+            self.engine = ShardedEngine(
+                snapshot, num_workers=num_workers, start_method=start_method,
+                blas_threads_per_worker=blas_threads_per_worker,
+                use_shared_memory=use_shared_memory,
+                ring_slots=ring_slots, slot_bytes=slot_bytes,
+                watchdog_interval_s=watchdog_interval_s,
+                max_respawns=max_respawns, respawn_backoff=respawn_backoff,
+                respawn_reset_s=respawn_reset_s,
+                hang_silence_s=hang_silence_s,
+                recovery_listener=self.stats.observe_recovery_event,
+                tracer=self.tracer, chaos=chaos)
+        except BaseException:
+            # The engine closed what it started; close what this server did.
+            if self.journal is not None:
+                self.journal.close()
+            self.tracer.close()
+            raise
         self.max_batch = max_batch or self.micro_batch
         self.max_pending = max_pending if max_pending is not None \
             else (DEFAULT_ADMISSION_BATCHES_PER_WORKER * self.max_batch

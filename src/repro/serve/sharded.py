@@ -2,49 +2,63 @@
 
 :class:`ShardedEngine` owns N worker processes, each holding a model replica
 restored from a picklable :class:`~repro.serve.snapshot.ModelSnapshot` (its
-own compiled plans, its own buffer caches).  The transport is fully
-per-worker: each shard has its own request queue, its own result queue, and
-a pair of :class:`~repro.serve.transport.SlotRing` shared-memory rings for
-tensor payloads — control queues carry only small pickled frames (tickets,
-slot descriptors, error strings), while batch and result tensors cross the
-process boundary as zero-copy NumPy views with explicit slot accounting.
+own compiled plans, its own buffer caches).  Each shard has its own request
+queue, result queue and pair of :class:`~repro.serve.transport.SlotRing`
+shared-memory rings: control queues carry small pickled frames (tickets,
+slot descriptors, error strings), tensors cross the process boundary as
+zero-copy NumPy views.  Nothing is shared between shards, so no lock exists
+that a hard-killed worker (OOM, SIGKILL) could die holding — a dead shard's
+failure domain is exactly its own channels.
 
-Nothing is shared between shards, so no lock exists that a hard-killed
-worker (OOM, SIGKILL) could die holding — a dead shard's failure domain is
-exactly its own channels.  A liveness watchdog polls the worker processes;
-when one dies it fails that shard's pending futures fast with
-:class:`RemoteWorkerError`, reclaims the shard's ring slots, and routing
-(least-loaded live worker) steers around the corpse — surviving shards keep
-answering.
+**Lifecycle.**  Each shard is one :class:`WorkerRecord` in one ``state``:
+``spawning`` (the supervisor builds a fresh process and channels),
+``resyncing`` (the process restores its replica and is sent the latest
+prototype state; targeted submits reach it, routing and broadcasts do
+not), ``live`` (routable), ``backoff`` (failed; a respawn is due),
+``gave_up`` (more than ``max_respawns`` crashes within ``respawn_reset_s``
+of uptime; terminal) or ``closed``.  Every state change goes through one
+function, :meth:`WorkerTable.transition`, called under the engine lock.  It
+maps ``(state, event)`` to the next state plus a list of actions — fail the
+shard's pending futures, reclaim its ring slots, kill, spawn, resync, shut
+down, emit a recovery event — that the thread which fed the event runs
+after releasing the lock.  The table touches no process, queue or ring.
 
-Dead shards are not just routed around: a **supervisor** respawns them.
-The watchdog hands a failed shard to a supervisor thread that waits out a
-capped exponential backoff (:class:`~repro.serve.backoff.BackoffSchedule`,
-jittered so a correlated multi-shard crash does not respawn in lockstep),
-re-creates the shard's queues and shared-memory rings from scratch (a
-corpse may have died mid-write with its ring slots in arbitrary states),
-spawns a fresh process from the same plan snapshot, resyncs it to the
-*current* prototype version through the same version-gated path broadcasts
-take, and only then rejoins it to least-loaded routing.  A worker that
-keeps dying exhausts its crash-loop budget (``max_respawns`` within
-``respawn_reset_s`` of uptime) and the shard degrades permanently — the
-pre-supervisor behaviour: typed errors at the corpse, survivors serving.
+* ``died`` (the watchdog found the process gone) and ``hang`` (alive by
+  ``is_alive()``, heartbeat silent past the opt-in ``hang_silence_s``:
+  SIGSTOP, swap death) take a ``resyncing`` or ``live`` shard, and
+  ``failed`` (a spawn raised; a resync failed or outlived
+  ``startup_timeout``) a ``spawning`` or ``resyncing`` one, to ``backoff``
+  or ``gave_up``: its pending futures fail fast with
+  :class:`WorkerDiedError`, its slots are reclaimed, and one crash is
+  charged against the budget.  The backoff is capped exponential and
+  jittered (:class:`~repro.serve.backoff.BackoffSchedule`), so a correlated
+  multi-shard crash does not respawn in lockstep.
+* ``due`` (the backoff elapsed) spawns: fresh queues and rings, since a
+  corpse may have died mid-write, and a fresh process.  ``spawned`` starts
+  the resync; ``resynced(version)`` below the latest version (a broadcast
+  raced the resync) re-sends, at the latest it makes the shard ``live``.
+* ``close`` moves every shard to ``closed``; a ``died`` after it fails the
+  leftovers with :class:`EngineClosedError`.
 
-The watchdog also escalates **hangs**: each worker stamps a heartbeat
-counter into a shared value from a dedicated thread, so a shard that is
-alive by ``is_alive()`` but frozen in practice (SIGSTOP, swap death, a
-stuck syscall) is declared failed after ``hang_silence_s`` of heartbeat
-silence, SIGKILLed, and handed to the same respawn path.  Hang detection
-is opt-in (``hang_silence_s=None`` disables it): the right threshold is
-workload-dependent, and a paused-on-purpose shard must not be shot by
-default.
+Events carry the incarnation (``epoch``) they are about, so a late event
+about a corpse cannot touch its replacement.  ``tests/test_serve_lifecycle``
+checks after every scripted event that every future resolves exactly once,
+that nothing routes to a shard that is not ``live``, that each shard's
+acked prototype version only grows (and a shard goes live only at the
+latest), and that the respawn budget holds.
+
+Startup runs the same path: every shard starts in ``spawning``.  Worker
+processes receive only small handles as arguments; the snapshot follows
+over the request queue after ``start()``, so a worker that dies while
+bootstrapping (a ``__main__`` that cannot be re-imported) arrives as
+``died`` within ``startup_timeout`` instead of blocking ``start()`` on a
+pipe nobody reads, and the failed startup closes everything it started.
 
 Workers default to the ``spawn`` start method: it exercises the snapshot's
 picklability end-to-end (``fork`` would silently inherit live state) and
 sidesteps fork-after-BLAS hazards.  BLAS threading inside each worker is
 pinned to one thread by default so that process-level sharding, not library
-threading, owns the parallelism — the saturation benchmark compares worker
-counts under identical per-worker settings.
+threading, owns the parallelism.
 """
 
 from __future__ import annotations
@@ -52,6 +66,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_module
 import threading
 import time
@@ -111,6 +126,17 @@ _BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                   "VECLIB_MAXIMUM_THREADS")
 
+SPAWNING = "spawning"
+RESYNCING = "resyncing"
+LIVE = "live"
+BACKOFF = "backoff"
+GAVE_UP = "gave_up"
+CLOSED = "closed"
+
+#: States whose process runs: the watchdog watches them and targeted
+#: submits reach them.
+_RUNNING = (RESYNCING, LIVE)
+
 
 class RemoteWorkerError(RuntimeError):
     """An exception raised inside (or by the death of) a worker process."""
@@ -130,6 +156,11 @@ class EngineClosedError(RuntimeError):
     a closed pool."""
 
 
+#: What waiting on a resync can raise; the table has taken the failure
+#: by the time the waiter sees one.
+_RESYNC_ERRORS = (RemoteWorkerError, EngineClosedError, TimeoutError)
+
+
 @contextmanager
 def _blas_threads_env(threads: Optional[int]):
     """Temporarily pin BLAS thread env vars so started children inherit them."""
@@ -146,6 +177,178 @@ def _blas_threads_env(threads: Optional[int]):
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+
+
+class WorkerRecord:
+    """Everything the engine holds for one shard.
+
+    The lifecycle fields (``state`` to ``version``) are written only by
+    :meth:`WorkerTable.transition`.  ``pending`` belongs to the per-request
+    bookkeeping (submit adds, the collector pops, a failure takes it all)
+    and ``heartbeat_seen`` to the watchdog's per-tick bookkeeping.  The
+    channel fields hold the current incarnation; the spawn path replaces
+    them while the shard is ``spawning``, when nothing else reads them.
+    """
+
+    def __init__(self, index: int, now: float):
+        self.index = index
+        self.state = SPAWNING
+        #: Incarnation number; an event about an older one is ignored.
+        self.epoch = 0
+        #: Crashes charged within the current reset window.
+        self.attempts = 0
+        #: Respawns that rejoined routing.
+        self.restarts = 0
+        self.spawned_at = now
+        #: First failure of the current outage: recovery latency spans
+        #: detection to serving again, across every backoff and retry.
+        self.failed_at: Optional[float] = None
+        #: Monotonic time the backoff ends.
+        self.due: Optional[float] = None
+        #: Highest prototype version the shard acked to a resync.
+        self.version = -1
+        #: ticket -> (future, (trace context, wall start) or None).
+        self.pending: Dict[int, Tuple[Future, Optional[tuple]]] = {}
+        #: Last heartbeat stamp the watchdog saw and when it changed.
+        self.heartbeat_seen: Tuple[int, float] = (0, now)
+        self.process = None
+        self.request_queue = self.result_queue = None
+        self.request_ring = self.result_ring = None
+        #: Shared counter the worker stamps from a dedicated thread.
+        self.heartbeat = None
+        self.collector: Optional[threading.Thread] = None
+
+
+class WorkerTable:
+    """The lifecycle table of a pool's shards (see the module docstring).
+
+    Pure bookkeeping, used under the engine lock: routing reads the records
+    and :meth:`transition` writes their lifecycle.  Nothing here touches a
+    process, queue or ring, so a test drives the table with scripted events
+    and a fake clock.
+    """
+
+    def __init__(self, num_workers: int, prototypes: PrototypeState,
+                 max_respawns: int = DEFAULT_MAX_RESPAWNS,
+                 backoff: Optional[BackoffSchedule] = None,
+                 reset_s: float = DEFAULT_RESPAWN_RESET_S,
+                 now: float = 0.0):
+        self.workers = [WorkerRecord(index, now)
+                        for index in range(num_workers)]
+        #: Newest prototype state pushed through ``set_prototypes``; a
+        #: resync sends it, and a shard goes live only once it acked it.
+        self.prototypes = prototypes
+        self.max_respawns = max_respawns
+        self.backoff = backoff if backoff is not None else BackoffSchedule()
+        self.reset_s = reset_s
+
+    def live(self) -> List[int]:
+        return [worker.index for worker in self.workers
+                if worker.state == LIVE]
+
+    def route(self, offset: int) -> Optional[int]:
+        """The live shard with the fewest pending items, ties broken
+        round-robin from ``offset``; ``None`` when no shard is live."""
+        live = self.live()
+        if not live:
+            return None
+        count = len(self.workers)
+        return min(live, key=lambda index: (
+            len(self.workers[index].pending), (index - offset) % count))
+
+    def transition(self, index: int, event: str, now: float,
+                   epoch: Optional[int] = None, version: int = -1,
+                   reason: str = "", silence_s: float = 0.0) -> List[tuple]:
+        """Apply ``event`` to shard ``index`` at monotonic time ``now``;
+        returns the actions to run once the lock is released.
+
+        ``epoch`` names the incarnation the event is about (``None``: the
+        current one); ``version`` is a ``resynced`` ack, ``reason`` the
+        failure text and ``silence_s`` a ``hang``'s heartbeat silence.
+        """
+        worker = self.workers[index]
+        state = worker.state
+        if epoch is not None and epoch != worker.epoch:
+            return []
+        if state == CLOSED:
+            if event == "died":
+                return [("fail", self._take(worker), EngineClosedError(
+                    "engine closed with requests in flight"))]
+            return [("kill",)] if event == "spawned" else []
+        if event == "close":
+            worker.state = CLOSED
+            if state == SPAWNING:       # a started process serves nothing
+                return [("kill",)]
+            return [("shutdown",)] if state in _RUNNING else []
+        if event == "due" and state == BACKOFF and now >= worker.due:
+            worker.state = SPAWNING
+            worker.epoch += 1
+            worker.due = None
+            return [("spawn", worker.epoch)]
+        if event == "spawned" and state == SPAWNING:
+            worker.state = RESYNCING
+            worker.spawned_at = now
+            return [("resync", worker.epoch)]
+        if event == "resynced" and state == RESYNCING:
+            worker.version = max(worker.version, version)
+            if version < self.prototypes.version:
+                return [("resync", worker.epoch)]
+            worker.state = LIVE
+            if worker.failed_at is None:     # first start, not a recovery
+                return []
+            worker.restarts += 1
+            latency = now - worker.failed_at
+            worker.failed_at = None
+            return [_emit("respawned", index, attempt=worker.attempts,
+                          recovery_latency_s=latency)]
+        if not (event in ("died", "hang") and state in _RUNNING
+                or event == "failed" and state in (SPAWNING, RESYNCING)):
+            return []
+        actions: List[tuple] = []
+        if event == "hang":
+            actions.append(_emit("hang_escalated", index, silence_s=silence_s))
+        if state == SPAWNING:               # no process was started
+            actions.append(_emit("respawn_failed", index,
+                                 attempt=worker.attempts, reason=reason))
+        else:
+            if event != "died":
+                # SIGKILL reaches even a SIGSTOPped process.
+                actions.append(("kill",))
+            # The worker was the only reader of its request ring and the
+            # only writer of its result ring: both are reclaimed whole.
+            actions += [("fail", self._take(worker), WorkerDiedError(reason)),
+                        ("reclaim",), _emit("worker_failed", index,
+                                            reason=reason)]
+        if worker.failed_at is None:
+            worker.failed_at = now
+        if now - worker.spawned_at > self.reset_s:
+            # The incarnation was stably up: a fresh outage, not the next
+            # lap of a crash loop.
+            worker.attempts = 0
+        worker.attempts += 1
+        if worker.attempts > self.max_respawns:
+            worker.state = GAVE_UP
+            worker.failed_at = None
+            actions.append(_emit("gave_up", index,
+                                 attempts=worker.attempts - 1,
+                                 max_respawns=self.max_respawns))
+        else:
+            worker.state = BACKOFF
+            delay = self.backoff.delay(worker.attempts)
+            worker.due = now + delay
+            actions.append(_emit("respawn_scheduled", index,
+                                 attempt=worker.attempts, delay_s=delay))
+        return actions
+
+    @staticmethod
+    def _take(worker: WorkerRecord) -> dict:
+        doomed, worker.pending = worker.pending, {}
+        return doomed
+
+
+def _emit(event: str, worker: int, **fields) -> tuple:
+    """The action that delivers one recovery event to the listener."""
+    return ("emit", {"event": event, "worker": worker, **fields})
 
 
 class ShardedEngine:
@@ -178,19 +381,14 @@ class ShardedEngine:
         self.snapshot = snapshot
         self.micro_batch = snapshot.micro_batch
         self.watchdog_interval_s = watchdog_interval_s
-        self.max_respawns = max_respawns
-        self.respawn_reset_s = respawn_reset_s
         self.hang_silence_s = hang_silence_s
-        #: Backoff waited out between a shard's failure and its respawn.
-        self.respawn_backoff = respawn_backoff if respawn_backoff is not None \
-            else BackoffSchedule()
         #: Optional callable receiving one dict per recovery lifecycle event
         #: (``worker_failed`` / ``respawn_scheduled`` / ``hang_escalated`` /
-        #: ``respawned`` / ``gave_up``) — the server wires its stats
-        #: instruments here; exceptions it raises are swallowed.  Events
-        #: arrive from the engine's own threads: the supervisor thread
-        #: emits ``respawned`` after it has made the shard routable again,
-        #: so a caller that sees the shard live may not have that event yet.
+        #: ``respawn_failed`` / ``respawned`` / ``gave_up``) — the server
+        #: wires its stats instruments here; exceptions it raises are
+        #: swallowed.  Events arrive from the engine's own threads after the
+        #: state change they report, so a caller that sees the shard live
+        #: may not have its ``respawned`` event yet.
         self._recovery_listener = recovery_listener
         #: Optional :class:`~repro.obs.trace.Tracer`: the adoption point for
         #: spans shipped back from workers, and the author of the synthetic
@@ -202,229 +400,285 @@ class ShardedEngine:
         #: modelling a shard that ships corrupted frames.  ``None`` (the
         #: default) costs one attribute check per result.
         self._chaos = chaos
-        context = mp.get_context(start_method)
-        # The supervisor re-creates a failed shard from scratch, so the
-        # spawn-time configuration must outlive __init__.
-        self._context = context
+        self._context = mp.get_context(start_method)
         self._use_shared_memory = use_shared_memory
         self._ring_slots = ring_slots
         self._slot_bytes = slot_bytes
         self._blas_threads = blas_threads_per_worker
         self._startup_timeout = startup_timeout
-        self._request_queues = []
-        self._result_queues = []
-        self._request_rings: List[Optional[SlotRing]] = []
-        self._result_rings: List[Optional[SlotRing]] = []
-        self._processes = []
-        #: Per-worker heartbeat counters (shared values stamped from a
-        #: dedicated thread inside each worker; single writer, so no lock).
-        self._heartbeats = []
-        #: ticket -> (future, worker index); strictly per-worker bookkeeping
-        #: so a dead shard's futures can be failed without touching the rest.
-        self._pending: Dict[int, Tuple[Future, int]] = {}
-        #: ticket -> (trace context, wall start) of traced submits, kept
-        #: separate from ``_pending`` so the untraced bookkeeping is
-        #: untouched; consumed on resolution or turned into a synthetic
-        #: failed span when the ticket's worker dies.
-        self._trace_ctx: Dict[int, Tuple[tuple, float]] = {}
-        self._inflight = [0] * num_workers
-        self._dead = [False] * num_workers
-        #: A respawned shard is *resyncing* until it acked the current
-        #: prototype version: not dead (targeted submits work — the resync
-        #: itself uses them) but excluded from routing and broadcasts, so
-        #: no client request can reach a replica with stale prototypes.
-        self._resyncing = [False] * num_workers
-        #: Shards whose crash-loop budget is exhausted (terminal).
-        self._gave_up = [False] * num_workers
-        self._respawn_attempts = [0] * num_workers
-        self._restarts = [0] * num_workers
-        now = time.monotonic()
-        self._spawned_at = [now] * num_workers
-        #: First-failure timestamp per shard, cleared on successful rejoin —
-        #: recovery latency spans detection to serving again, across every
-        #: backoff + retry in between.
-        self._failed_at: List[Optional[float]] = [None] * num_workers
-        #: Last observed heartbeat stamp and when it last changed.
-        self._hb_seen: List[Tuple[int, float]] = [(0, now)] * num_workers
-        #: worker index -> monotonic due time of its scheduled respawn.
-        self._respawn_due: Dict[int, float] = {}
-        #: Newest prototype state pushed through :meth:`set_prototypes`; the
-        #: supervisor resyncs a respawned shard from it.  Updated under
-        #: ``_lock`` *before* the broadcast, so a respawn racing a broadcast
-        #: either sees the new state here or is live in time to receive the
-        #: broadcast itself (never neither).
-        self._latest_prototypes: Optional[PrototypeState] = snapshot.prototypes
+        self._table = WorkerTable(num_workers, snapshot.prototypes,
+                                  max_respawns, respawn_backoff,
+                                  respawn_reset_s, time.monotonic())
         self._lock = threading.Lock()
         self._tickets = itertools.count()
         self._round_robin = itertools.count()
         self._closed = False
         self._stop = threading.Event()
-        with _blas_threads_env(blas_threads_per_worker):
-            for worker_id in range(num_workers):
-                request_ring = SlotRing(ring_slots, slot_bytes) \
-                    if use_shared_memory else None
-                result_ring = SlotRing(ring_slots, slot_bytes) \
-                    if use_shared_memory else None
-                (request_queue, result_queue, heartbeat,
-                 process) = self._make_worker(worker_id, request_ring,
-                                              result_ring)
-                self._request_queues.append(request_queue)
-                self._result_queues.append(result_queue)
-                self._request_rings.append(request_ring)
-                self._result_rings.append(result_ring)
-                self._heartbeats.append(heartbeat)
-                self._processes.append(process)
-        self._collectors = []
-        for worker_id in range(num_workers):
-            self._collectors.append(self._start_collector(worker_id))
         self._watchdog = threading.Thread(target=self._watch,
                                           name="repro-serve-watchdog",
                                           daemon=True)
-        self._watchdog.start()
         self._supervisor = threading.Thread(target=self._supervise,
                                             name="repro-serve-supervisor",
                                             daemon=True)
-        self._supervisor.start()
-        # Block until every worker finished importing + restoring its replica
-        # (spawn pays the interpreter startup here, not on the first request).
-        # A worker that dies during startup fails its ping fast through the
-        # watchdog instead of running out the timeout; a pool that cannot
-        # bring up *every* worker is a startup failure, not a degraded pool.
-        self.broadcast("ping", timeout=startup_timeout, require_all=True)
-
-    # ------------------------------------------------------------------
-    # Worker construction (shared by __init__ and the supervisor)
-    # ------------------------------------------------------------------
-    def _make_worker(self, worker_id: int, request_ring: Optional[SlotRing],
-                     result_ring: Optional[SlotRing]):
-        """Spawn one worker process with fresh control queues and heartbeat.
-
-        The caller owns placing the returned channel objects into the
-        per-worker tables (append at startup, in-place replace on respawn).
-        """
-        request_queue = self._context.Queue()
-        result_queue = self._context.Queue()
-        # 'Q' (unsigned 64-bit) never wraps at ~20 stamps/s; lock-free is
-        # safe because the worker's heartbeat thread is the only writer.
-        heartbeat = self._context.Value("Q", 0, lock=False)
-        process = self._context.Process(
-            target=worker_main,
-            args=(worker_id, self.snapshot, request_queue, result_queue,
-                  request_ring.spec() if request_ring else None,
-                  result_ring.spec() if result_ring else None,
-                  heartbeat),
-            daemon=True, name=f"repro-serve-worker-{worker_id}")
-        process.start()
-        return request_queue, result_queue, heartbeat, process
-
-    def _start_collector(self, worker_id: int) -> threading.Thread:
-        collector = threading.Thread(
-            target=self._collect, args=(worker_id,),
-            name=f"repro-serve-collector-{worker_id}", daemon=True)
-        collector.start()
-        return collector
+        # Block until every worker imported, restored its replica and acked
+        # the prototypes (spawn pays the interpreter startup here, not on
+        # the first request).  The processes boot in parallel; the resyncs
+        # share one deadline.  A pool that cannot bring up *every* worker is
+        # a startup failure, not a degraded pool.
+        try:
+            self._watchdog.start()
+            with _blas_threads_env(blas_threads_per_worker):
+                for index in range(num_workers):
+                    self._start_worker(index)
+            deadline = time.monotonic() + startup_timeout
+            for index in range(num_workers):
+                self._apply(index, "spawned", epoch=0,
+                            timeout=max(0.0, deadline - time.monotonic()))
+            self._supervisor.start()
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     @property
     def num_workers(self) -> int:
-        return len(self._processes)
+        return len(self._table.workers)
 
     @property
     def worker_pids(self) -> List[int]:
         """OS pids of the worker processes (the chaos layer's signal
         targets; a dead worker keeps reporting its last pid)."""
-        return [process.pid for process in self._processes]
+        return [worker.process.pid for worker in self._table.workers]
 
     @property
     def live_workers(self) -> List[int]:
-        """Indices of shards that are routable: alive by the watchdog and
-        not mid-resync after a respawn (a resyncing replica exists but must
-        not answer client traffic until it holds the current prototypes)."""
+        """Indices of shards that are routable (state ``live``; a resyncing
+        replica exists but must not answer client traffic until it holds
+        the current prototypes)."""
         with self._lock:
-            return [index for index in range(self.num_workers)
-                    if not self._dead[index] and not self._resyncing[index]]
+            return self._table.live()
 
     @property
     def restart_counts(self) -> List[int]:
         """Completed supervisor respawns (rejoined and serving) per shard."""
         with self._lock:
-            return list(self._restarts)
+            return [worker.restarts for worker in self._table.workers]
 
     @property
     def gave_up_workers(self) -> List[int]:
         """Shards whose crash-loop budget is exhausted — permanently
         degraded; the supervisor will not touch them again."""
         with self._lock:
-            return [index for index in range(self.num_workers)
-                    if self._gave_up[index]]
+            return [worker.index for worker in self._table.workers
+                    if worker.state == GAVE_UP]
 
     def inflight_per_worker(self) -> List[int]:
         """Outstanding (submitted, unresolved) work items per shard."""
         with self._lock:
-            return list(self._inflight)
+            return [len(worker.pending) for worker in self._table.workers]
 
     def min_live_inflight(self) -> int:
         """Smallest in-flight count among live shards (0 when none live —
         the next dispatch then fails with the watchdog's typed error
         instead of waiting forever for budget that cannot free up)."""
         with self._lock:
-            counts = [self._inflight[index]
-                      for index in range(self.num_workers)
-                      if not self._dead[index] and not self._resyncing[index]]
+            counts = [len(self._table.workers[index].pending)
+                      for index in self._table.live()]
         return min(counts) if counts else 0
 
     # ------------------------------------------------------------------
-    # Pending-table bookkeeping (all under self._lock)
+    # Lifecycle: events in, actions out
     # ------------------------------------------------------------------
-    def _register_locked(self, future: Future, index: int) -> int:
-        ticket = next(self._tickets)
-        self._pending[ticket] = (future, index)
-        self._inflight[index] += 1
-        return ticket
+    def _apply(self, index: int, event: str,
+               timeout: Optional[float] = None, **data) -> None:
+        """Feed one event to the table, then run its actions unlocked.
 
-    def _pop_ticket(self, ticket: int) -> Optional[Future]:
+        The handles the actions act on are read under the same lock as the
+        transition, so a kill or reclaim reaches the incarnation the event
+        was about even if the supervisor replaces it meanwhile.
+        """
+        worker = self._table.workers[index]
         with self._lock:
-            entry = self._pending.pop(ticket, None)
-            self._trace_ctx.pop(ticket, None)
-            if entry is None:
-                return None
-            future, index = entry
-            self._inflight[index] -= 1
-        return future
+            actions = self._table.transition(index, event, time.monotonic(),
+                                             **data)
+            process, request_queue = worker.process, worker.request_queue
+            rings = (worker.request_ring, worker.result_ring)
+        for action in actions:
+            kind = action[0]
+            if kind == "emit" and self._recovery_listener is not None:
+                try:
+                    self._recovery_listener(dict(action[1]))
+                except Exception:  # noqa: BLE001 - listener bugs stay theirs
+                    pass
+            elif kind == "fail":
+                self._fail_futures(index, action[1], action[2])
+            elif kind == "reclaim":
+                for ring in rings:
+                    if ring is not None:
+                        ring.reclaim_all()
+            elif kind == "kill" and process is not None:
+                process.kill()
+            elif kind == "shutdown":
+                try:
+                    request_queue.put(("shutdown", -1,
+                                       pack_payload(None, None)))
+                except (OSError, ValueError):
+                    pass
+            elif kind == "spawn":
+                self._respawn(index, action[1])
+            elif kind == "resync":
+                self._resync(index, action[1], timeout)
 
-    def _discard_future(self, future: Future) -> None:
-        """Drop one future from the pending table by identity (a future
-        that will never resolve — e.g. its worker died behind a stats
-        deadline — must not linger until ``close()``)."""
+    def _fail_futures(self, index: int, doomed: dict,
+                      error: BaseException) -> None:
+        # A worker that died mid-request can never report its span; close
+        # the trace tree anyway with a synthetic ``worker.execute`` marked
+        # failed, spanning submit-to-death.
+        if self.tracer is not None and isinstance(error, WorkerDiedError):
+            for _, trace in doomed.values():
+                if trace is not None:
+                    ctx, started = trace
+                    self.tracer.record_span(
+                        "worker.execute", ctx=ctx, start_s=started,
+                        status="failed", error=str(error),
+                        attrs={"worker": index, "synthetic": True})
+        for future, _ in doomed.values():
+            try:
+                future.set_exception(error)
+            except InvalidStateError:
+                pass
+
+    def _start_worker(self, index: int) -> None:
+        """Give shard ``index`` fresh queues, rings, heartbeat, process and
+        collector; the caller then feeds ``spawned``.
+
+        The process gets only small handles as arguments; the pickled
+        snapshot follows over its request queue once it runs.  Whatever
+        this call created is released again if it raises.
+        """
+        worker = self._table.workers[index]
+        self._retire(worker)
+        try:
+            worker.request_queue = self._context.Queue()
+            worker.result_queue = self._context.Queue()
+            if self._use_shared_memory:
+                worker.request_ring = SlotRing(self._ring_slots,
+                                               self._slot_bytes)
+                worker.result_ring = SlotRing(self._ring_slots,
+                                              self._slot_bytes)
+            # 'Q' (unsigned 64-bit) never wraps at ~20 stamps/s; lock-free
+            # is safe because the worker's heartbeat thread is the only
+            # writer.
+            worker.heartbeat = self._context.Value("Q", 0, lock=False)
+            process = self._context.Process(
+                target=worker_main,
+                args=(index, worker.request_queue, worker.result_queue,
+                      worker.request_ring and worker.request_ring.spec(),
+                      worker.result_ring and worker.result_ring.spec(),
+                      worker.heartbeat),
+                daemon=True, name=f"repro-serve-worker-{index}")
+            process.start()
+        except BaseException:
+            self._retire(worker)
+            raise
+        worker.process = process
+        # Pickled here and shipped through the request ring when it fits:
+        # pickled by the queue's feeder thread instead, each start left
+        # about 0.3 MB resident in that thread's allocator arena.
+        snapshot = np.frombuffer(pickle.dumps(self.snapshot), np.uint8)
+        worker.request_queue.put(pack_payload(worker.request_ring, snapshot))
+        worker.heartbeat_seen = (0, time.monotonic())
+        worker.collector = threading.Thread(
+            target=self._collect,
+            args=(index, worker.result_queue, worker.result_ring),
+            name=f"repro-serve-collector-{index}", daemon=True)
+        worker.collector.start()
+
+    def _retire(self, worker: WorkerRecord) -> None:
+        """Release a finished incarnation's channels and collector (its
+        process handle stays, so a dead shard keeps reporting its pid).
+
+        Frames its worker never read are taken back before the request
+        queue closes: one larger than the pipe buffer (an inline snapshot
+        or batch) would otherwise leave the queue's feeder thread blocked
+        for good.
+        """
+        process = worker.process
+        if process is not None:
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - SIGKILL straggler
+                process.kill()
+                process.join(timeout=5.0)
+        if worker.request_queue is not None:
+            try:
+                while True:
+                    worker.request_queue.get_nowait()
+            except (queue_module.Empty, OSError, EOFError, ValueError):
+                pass
+        for channel in (worker.request_queue, worker.result_queue):
+            if channel is not None:
+                channel.close()
+                channel.cancel_join_thread()
+        # The collector leaves once its queue is closed; it may still be
+        # copying out of the result ring until then.
+        if worker.collector is not None:
+            worker.collector.join(timeout=5.0)
+        for ring in (worker.request_ring, worker.result_ring):
+            if ring is not None:
+                ring.close()
+        worker.request_queue = worker.result_queue = None
+        worker.request_ring = worker.result_ring = None
+        worker.collector = None
+
+    def _respawn(self, index: int, epoch: int) -> None:
+        """The ``spawn`` action: a fresh incarnation, then its resync."""
+        try:
+            with _blas_threads_env(self._blas_threads):
+                self._start_worker(index)
+        except Exception as exc:  # noqa: BLE001 - spawn itself failed
+            self._apply(index, "failed", epoch=epoch,
+                        reason=f"worker {index} respawn failed "
+                               f"({type(exc).__name__}: {exc})")
+            return
+        self._apply(index, "spawned", epoch=epoch,
+                    timeout=self._startup_timeout)
+
+    def _resync(self, index: int, epoch: int, timeout: float) -> None:
+        """The ``resync`` action: send the latest prototype state and feed
+        the ack, or feed ``failed`` and re-raise."""
         with self._lock:
-            for ticket, (pending, index) in list(self._pending.items()):
-                if pending is future:
-                    del self._pending[ticket]
-                    self._trace_ctx.pop(ticket, None)
-                    self._inflight[index] -= 1
-                    break
+            state = self._table.prototypes
+        try:
+            version = self.submit("set_prototypes", state,
+                                  worker=index).result(timeout=timeout)
+        except _RESYNC_ERRORS as exc:
+            self._apply(index, "failed", epoch=epoch,
+                        reason=f"worker {index} failed its resync "
+                               f"({type(exc).__name__}: {exc})")
+            raise
+        self._apply(index, "resynced", epoch=epoch, version=version,
+                    timeout=timeout)
 
     # ------------------------------------------------------------------
-    # Collector / watchdog threads
+    # Collector / watchdog / supervisor threads
     # ------------------------------------------------------------------
-    def _collect(self, index: int) -> None:
-        """Drain one worker's result queue into its pending futures.
+    def _collect(self, index: int, result_queue, ring) -> None:
+        """Drain one incarnation's result queue into its pending futures.
 
         Strictly per-worker: a shard that dies mid-write can corrupt or
         silence only its *own* channel; every other collector keeps
         resolving its shard's replies.
         """
-        result_queue = self._result_queues[index]
-        ring = self._result_rings[index]
+        worker = self._table.workers[index]
         while not self._stop.is_set():
             try:
                 item = result_queue.get(timeout=_COLLECT_POLL_S)
             except queue_module.Empty:
                 continue
             except (EOFError, OSError, ValueError):
-                # Channel torn down under us: engine close, or the
-                # supervisor retiring this shard's channels before its
-                # replacement (ValueError is what a closed Queue raises).
+                # Channel torn down under us: engine close, or a respawn
+                # retiring this incarnation (ValueError is what a closed
+                # Queue raises).
                 break
             if self._chaos is not None:
                 # Fault injection: the hook may return a corrupted frame
@@ -438,9 +692,11 @@ class ShardedEngine:
                 ticket, worker_id, ok, packed = item
             except (TypeError, ValueError):  # truncated frame from a corpse
                 continue
-            future = self._pop_ticket(ticket)
-            if future is None:               # e.g. the shutdown ack
+            with self._lock:
+                entry = worker.pending.pop(ticket, None)
+            if entry is None:                # e.g. the shutdown ack
                 continue
+            future = entry[0]
             # Spans the worker finished for this item ride the result frame;
             # adopt them into the coordinator's export stream so one file
             # holds the whole cross-process trace.
@@ -452,14 +708,13 @@ class ShardedEngine:
             # (a cancelled/raced future must not kill the loop and hang every
             # later request on this shard).
             try:
+                # Copy-out + slot free happen here, in one place, so the
+                # caller's future owns plain arrays with no lifetime tie to
+                # the ring.
+                payload, _ = unpack_payload(ring, packed, copy=True)
                 if ok:
-                    # Copy-out + slot free happen here, in one place, so the
-                    # caller's future owns plain arrays with no lifetime tie
-                    # to the ring.
-                    payload, _ = unpack_payload(ring, packed, copy=True)
                     future.set_result(payload)
                 else:
-                    payload, _ = unpack_payload(ring, packed, copy=True)
                     future.set_exception(
                         RemoteWorkerError(f"worker {worker_id}: {payload}"))
             except InvalidStateError:
@@ -473,292 +728,60 @@ class ShardedEngine:
                     pass
 
     def _watch(self) -> None:
-        """Liveness watchdog: fail a dead shard's futures fast, reclaim its
-        transport slots, escalate heartbeat-silent shards, and hand every
-        failure to the supervisor for a backed-off respawn."""
+        """Liveness watchdog: feed ``died`` for a running shard whose
+        process is gone and, with ``hang_silence_s`` set, ``hang`` for one
+        whose heartbeat stopped advancing for longer than that."""
         while not self._stop.wait(self.watchdog_interval_s):
             if self._closed:
                 return
-            for index in range(len(self._processes)):
-                # The supervisor installs a respawned shard's process handle
-                # before it clears the dead flag under this lock, so a live
-                # flag read here goes with the current handle, never with
-                # the corpse it replaced.
+            for worker in self._table.workers:
                 with self._lock:
-                    dead = self._dead[index]
-                    process = self._processes[index]
-                if dead:
-                    continue
+                    if worker.state not in _RUNNING:
+                        continue
+                    epoch, process = worker.epoch, worker.process
+                    heartbeat = worker.heartbeat
+                index = worker.index
                 if not process.is_alive():
-                    self._fail_worker(
-                        index,
-                        f"worker {index} process died "
-                        f"(exit code {process.exitcode})")
+                    self._apply(index, "died", epoch=epoch,
+                                reason=f"worker {index} process died "
+                                       f"(exit code {process.exitcode})")
                     continue
-                self._check_heartbeat(index, process)
-
-    def _check_heartbeat(self, index: int, process) -> None:
-        """Track a shard's heartbeat; with ``hang_silence_s`` set, escalate
-        one that is alive by ``is_alive()`` but whose heartbeat stopped
-        advancing: SIGKILL it (delivered even to a SIGSTOPped process) and
-        fail it into the normal respawn path."""
-        heartbeat = self._heartbeats[index]
-        if heartbeat is None:  # pragma: no cover - heartbeats always exist
-            return
-        now = time.monotonic()
-        stamp = int(heartbeat.value)
-        last_stamp, changed_at = self._hb_seen[index]
-        if stamp != last_stamp:
-            self._hb_seen[index] = (stamp, now)
-            return
-        if self.hang_silence_s is None:
-            return
-        # Before the first stamp the worker is still importing/restoring its
-        # replica — give it the startup grace, not the steady-state budget.
-        threshold = self.hang_silence_s if stamp else \
-            max(self.hang_silence_s, _STARTUP_HEARTBEAT_GRACE_S)
-        silence = now - changed_at
-        if silence <= threshold:
-            return
-        self._emit({"event": "hang_escalated", "worker": index,
-                    "silence_s": silence})
-        try:
-            process.kill()
-        except Exception:  # noqa: BLE001 - already exiting is fine
-            pass
-        self._fail_worker(
-            index,
-            f"worker {index} heartbeat silent for {silence:.2f}s "
-            f"(> {threshold:g}s): alive by is_alive() but not making "
-            f"progress; escalated with SIGKILL")
-
-    def _emit(self, event: dict) -> None:
-        """Deliver one recovery lifecycle event to the listener, which must
-        never be able to take down a watchdog/supervisor thread."""
-        listener = self._recovery_listener
-        if listener is None:
-            return
-        try:
-            listener(dict(event))
-        except Exception:  # noqa: BLE001 - listener bugs stay theirs
-            pass
-
-    def _fail_worker(self, index: int, reason: str) -> None:
-        with self._lock:
-            if self._dead[index]:
-                return
-            self._dead[index] = True
-            self._resyncing[index] = False
-            if self._failed_at[index] is None:
-                # First failure of this outage: recovery latency is measured
-                # from here to the successful rejoin, across every backoff
-                # and failed retry in between.
-                self._failed_at[index] = time.monotonic()
-            doomed = [(ticket, future) for ticket, (future, owner)
-                      in self._pending.items() if owner == index]
-            doomed_traces = []
-            for ticket, _ in doomed:
-                del self._pending[ticket]
-                trace = self._trace_ctx.pop(ticket, None)
-                if trace is not None:
-                    doomed_traces.append(trace)
-            self._inflight[index] = 0
-        # A worker that died mid-request can never report its span; close
-        # the trace tree anyway with a synthetic ``worker.execute`` marked
-        # failed, spanning submit-to-death.
-        if self.tracer is not None:
-            for ctx, started in doomed_traces:
-                self.tracer.record_span(
-                    "worker.execute", ctx=ctx, start_s=started,
-                    status="failed", error=reason,
-                    attrs={"worker": index, "synthetic": True})
-        # The dead worker was the only reader of its request ring and the
-        # only writer of its result ring: with it gone, both sides' slots
-        # are reclaimed wholesale instead of leaking for the engine's life.
-        for ring in (self._request_rings[index], self._result_rings[index]):
-            if ring is not None:
-                ring.reclaim_all()
-        error = WorkerDiedError(reason)
-        for _, future in doomed:
-            try:
-                future.set_exception(error)
-            except InvalidStateError:
-                pass
-        self._emit({"event": "worker_failed", "worker": index,
-                    "reason": reason})
-        self._schedule_respawn(index)
-
-    # ------------------------------------------------------------------
-    # Supervisor: backed-off respawn of failed shards
-    # ------------------------------------------------------------------
-    def _schedule_respawn(self, index: int) -> None:
-        """Charge one crash against the shard's budget and either queue a
-        backed-off respawn or give the shard up for good."""
-        if self._closed or self._stop.is_set():
-            return
-        with self._lock:
-            if self._gave_up[index]:
-                return
-            now = time.monotonic()
-            if now - self._spawned_at[index] > self.respawn_reset_s:
-                # The previous incarnation was stably up: this is a fresh
-                # outage, not the next lap of a crash loop.
-                self._respawn_attempts[index] = 0
-            self._respawn_attempts[index] += 1
-            attempt = self._respawn_attempts[index]
-            if attempt > self.max_respawns:
-                self._gave_up[index] = True
-                self._failed_at[index] = None
-                gave_up = True
-                delay = 0.0
-            else:
-                gave_up = False
-                delay = self.respawn_backoff.delay(attempt)
-                self._respawn_due[index] = now + delay
-        if gave_up:
-            self._emit({"event": "gave_up", "worker": index,
-                        "attempts": attempt - 1,
-                        "max_respawns": self.max_respawns})
-        else:
-            self._emit({"event": "respawn_scheduled", "worker": index,
-                        "attempt": attempt, "delay_s": delay})
+                now = time.monotonic()
+                stamp = int(heartbeat.value)
+                last_stamp, changed_at = worker.heartbeat_seen
+                if stamp != last_stamp:
+                    worker.heartbeat_seen = (stamp, now)
+                    continue
+                if self.hang_silence_s is None:
+                    continue
+                # Before the first stamp the worker is still importing and
+                # restoring its replica: give it the startup grace.
+                threshold = self.hang_silence_s if stamp else \
+                    max(self.hang_silence_s, _STARTUP_HEARTBEAT_GRACE_S)
+                silence = now - changed_at
+                if silence > threshold:
+                    self._apply(index, "hang", epoch=epoch, silence_s=silence,
+                                reason=f"worker {index} heartbeat silent for "
+                                       f"{silence:.2f}s (> {threshold:g}s): "
+                                       f"alive by is_alive() but not making "
+                                       f"progress; escalated with SIGKILL")
 
     def _supervise(self) -> None:
-        """Supervisor thread: run due respawns (serially — respawning is
-        rare and a spawn is expensive; one at a time keeps the bookkeeping
-        trivially race-free against itself)."""
+        """Supervisor thread: feed ``due`` once a backoff has elapsed; the
+        respawn and resync it triggers run here, one shard at a time."""
         while not self._stop.wait(_SUPERVISOR_POLL_S):
             if self._closed:
                 return
             now = time.monotonic()
             with self._lock:
-                due = [index for index, when in self._respawn_due.items()
-                       if when <= now]
-                for index in due:
-                    del self._respawn_due[index]
-            for index in due:
-                self._respawn(index)
-
-    def _respawn(self, index: int) -> None:
-        """Replace a dead shard: fresh channels, fresh rings, fresh process,
-        resynced state — then rejoin it to routing.
-
-        Nothing of the corpse is reused.  Its queues may hold torn frames,
-        its rings may have slots claimed by a write that never finished, and
-        its kernel mappings pin the old segments; teardown + re-create is
-        both simpler and the only defensible correctness story.
-        """
-        if self._closed or self._stop.is_set():
-            return
-        with self._lock:
-            if self._gave_up[index] or not self._dead[index]:
-                return
-            attempt = self._respawn_attempts[index]
-        old_process = self._processes[index]
-        old_process.join(timeout=5.0)
-        if old_process.is_alive():  # pragma: no cover - SIGKILL straggler
-            old_process.kill()
-            old_process.join(timeout=5.0)
-        # Closing the old queues pops the shard's collector thread out of
-        # its blocking get (OSError) — the new incarnation gets its own.
-        for old_queue in (self._request_queues[index],
-                          self._result_queues[index]):
-            try:
-                old_queue.close()
-                old_queue.cancel_join_thread()
-            except (OSError, ValueError):  # pragma: no cover - already down
-                pass
-        old_request_ring = self._request_rings[index]
-        old_result_ring = self._result_rings[index]
-        request_ring = old_request_ring.renew() \
-            if old_request_ring is not None else None
-        result_ring = old_result_ring.renew() \
-            if old_result_ring is not None else None
-        try:
-            with _blas_threads_env(self._blas_threads):
-                (request_queue, result_queue, heartbeat,
-                 process) = self._make_worker(index, request_ring,
-                                              result_ring)
-        except Exception as exc:  # noqa: BLE001 - spawn itself failed
-            self._schedule_respawn(index)
-            self._emit({"event": "respawn_failed", "worker": index,
-                        "attempt": attempt,
-                        "reason": f"{type(exc).__name__}: {exc}"})
-            return
-        if self._closed:
-            # close() raced us past the entry check: the fresh process must
-            # not outlive the engine (close() iterated the old handle).
-            process.kill()
-            process.join(timeout=5.0)
-            return
-        self._request_queues[index] = request_queue
-        self._result_queues[index] = result_queue
-        self._request_rings[index] = request_ring
-        self._result_rings[index] = result_ring
-        self._heartbeats[index] = heartbeat
-        self._processes[index] = process
-        now = time.monotonic()
-        with self._lock:
-            self._spawned_at[index] = now
-            self._hb_seen[index] = (0, now)
-            # Resyncing: targeted submits (the resync itself) work, routing
-            # and broadcasts skip the shard until it holds current state.
-            self._resyncing[index] = True
-            self._dead[index] = False
-        self._collectors.append(self._start_collector(index))
-        try:
-            self.submit("ping", None, worker=index).result(
-                timeout=self._startup_timeout)
-            self._resync_prototypes(index)
-        except Exception as exc:  # noqa: BLE001 - died again during resync
-            reason = (f"worker {index} respawn failed during resync "
-                      f"({type(exc).__name__}: {exc})")
-            with self._lock:
-                needs_fail = not self._dead[index]
-            if needs_fail:
+                due = [(worker.index, worker.epoch)
+                       for worker in self._table.workers
+                       if worker.state == BACKOFF and worker.due <= now]
+            for index, epoch in due:
                 try:
-                    process.kill()
-                except Exception:  # noqa: BLE001
-                    pass
-                # Re-enters _schedule_respawn: the budget, not recursion
-                # depth, bounds how often this can go around.
-                self._fail_worker(index, reason)
-            return
-        with self._lock:
-            failed_at = self._failed_at[index]
-            self._failed_at[index] = None
-        latency = None if failed_at is None else time.monotonic() - failed_at
-        self._emit({"event": "respawned", "worker": index,
-                    "attempt": attempt, "recovery_latency_s": latency})
-
-    def _resync_prototypes(self, index: int) -> None:
-        """Bring a respawned shard to the *current* prototype version, then
-        mark it live and count its restart under the same lock (a reader
-        must never see the shard routable with the old restart count).
-
-        The loop closes the respawn/broadcast race: a concurrent
-        :meth:`set_prototypes` updates ``_latest_prototypes`` under the lock
-        *before* snapshotting the live set.  Either it runs before our
-        re-read (we send the newer state ourselves) or after we flipped
-        ``_resyncing`` off under the same lock (the broadcast reaches the
-        shard directly).  A version acked below the latest re-sends.
-        """
-        while True:
-            with self._lock:
-                state = self._latest_prototypes
-            if state is None:
-                with self._lock:
-                    self._resyncing[index] = False
-                    self._restarts[index] += 1
-                return
-            self.submit("set_prototypes", state, worker=index).result(
-                timeout=self._startup_timeout)
-            with self._lock:
-                if (self._latest_prototypes is None
-                        or self._latest_prototypes.version == state.version):
-                    self._resyncing[index] = False
-                    self._restarts[index] += 1
-                    return
+                    self._apply(index, "due", epoch=epoch)
+                except _RESYNC_ERRORS:
+                    pass            # the table already took the failure
 
     # ------------------------------------------------------------------
     def submit(self, kind: str, payload=None,
@@ -768,8 +791,9 @@ class ShardedEngine:
 
         With no explicit ``worker``, the item is routed to the live shard
         with the fewest outstanding items (ties broken round-robin), so a
-        dead shard is simply never chosen.  Targeting a dead shard
-        explicitly raises :class:`RemoteWorkerError` immediately.
+        dead shard is simply never chosen.  Targeting a shard whose process
+        is not running (failed, respawning, given up) raises
+        :class:`WorkerDiedError` immediately.
 
         ``trace_ctx`` — a ``(trace_id, span_id)`` pair of the sampled parent
         span — rides the request's control frame to the worker, whose
@@ -783,45 +807,35 @@ class ShardedEngine:
         # Mark the future running immediately: cancel() then always returns
         # False, so the collector's set_result cannot race a cancellation.
         future.set_running_or_notify_cancel()
+        trace = None if trace_ctx is None else (tuple(trace_ctx), time.time())
         with self._lock:
-            if worker is not None:
-                index = worker
-                if self._dead[index]:
-                    raise WorkerDiedError(f"worker {index} is dead")
-            else:
-                live = [i for i in range(self.num_workers)
-                        if not self._dead[i] and not self._resyncing[i]]
-                if not live:
+            if worker is None:
+                index = self._table.route(next(self._round_robin))
+                if index is None:
                     raise RemoteWorkerError("no live workers left in the "
                                             "pool")
-                offset = next(self._round_robin)
-                index = min(
-                    live, key=lambda i: (self._inflight[i],
-                                         (i - offset) % self.num_workers))
-            ticket = self._register_locked(future, index)
-            if trace_ctx is not None:
-                self._trace_ctx[ticket] = (tuple(trace_ctx), time.time())
-        packed = pack_payload(self._request_rings[index], payload,
-                              trace=tuple(trace_ctx)
-                              if trace_ctx is not None else None)
+            elif self._table.workers[worker].state in _RUNNING:
+                index = worker
+            else:
+                raise WorkerDiedError(f"worker {worker} is dead "
+                                      f"({self._table.workers[worker].state})")
+            record = self._table.workers[index]
+            # Registered under the same lock a failure takes the shard's
+            # pending table under: the ticket is failed with the rest, or
+            # the shard was still running when it was sent.
+            ticket = next(self._tickets)
+            record.pending[ticket] = (future, trace)
+            request_queue, ring = record.request_queue, record.request_ring
+        packed = pack_payload(ring, payload,
+                              trace=None if trace is None else trace[0])
         try:
-            self._request_queues[index].put((kind, ticket, packed))
+            request_queue.put((kind, ticket, packed))
         except (OSError, ValueError) as exc:
-            if self._pop_ticket(ticket) is not None:
+            with self._lock:
+                entry = record.pending.pop(ticket, None)
+            if entry is not None:
                 future.set_exception(WorkerDiedError(
                     f"worker {index}: request channel closed ({exc})"))
-            return future
-        # The watchdog may have declared the shard dead between routing and
-        # the queue put; its sweep can miss a ticket registered after it ran,
-        # so re-check and fail the straggler here instead of leaking it.
-        with self._lock:
-            died = self._dead[index]
-        if died and self._pop_ticket(ticket) is not None:
-            try:
-                future.set_exception(
-                    WorkerDiedError(f"worker {index} is dead"))
-            except InvalidStateError:
-                pass
         return future
 
     def scatter(self, kind: str, images: np.ndarray,
@@ -890,8 +904,7 @@ class ShardedEngine:
         wedge e.g. a prototype sync for every healthy shard.  The mapping
         keys report exactly which shards answered.  Raises
         :class:`RemoteWorkerError` only when *no* shard answered, or on the
-        first failure when ``require_all`` is set (startup, where a pool
-        missing a worker is a failure, not a degraded pool).
+        first failure when ``require_all`` is set.
         """
         indices = self.live_workers
         if not indices:
@@ -936,16 +949,15 @@ class ShardedEngine:
         the new prototypes.  Prototype states are control frames: they
         cross as pickle, never through the tensor rings.
 
-        The state is recorded as the pool's latest *before* broadcasting
-        (under the engine lock): a shard the supervisor is resyncing right
-        now is excluded from the broadcast's live set, and the resync loop
-        re-reads the latest state until its acked version matches — so the
-        shard rejoins with these prototypes either way.
+        The state becomes the table's latest *before* the broadcast takes
+        its live set.  A shard that goes live earlier is in that set; one
+        that acks its resync later acks an older version than the table's
+        latest and is re-sent this state — it rejoins with these prototypes
+        either way.
         """
         with self._lock:
-            if (self._latest_prototypes is None
-                    or state.version >= self._latest_prototypes.version):
-                self._latest_prototypes = state
+            if state.version >= self._table.prototypes.version:
+                self._table.prototypes = state
         return self.broadcast("set_prototypes", state, timeout=timeout)
 
     def stats(self, timeout: float = DEFAULT_TIMEOUT) -> List[dict]:
@@ -959,29 +971,25 @@ class ShardedEngine:
         process handle) instead of its counters.  ``timeout`` is a *shared*
         deadline across all shards, not per shard, so a pool with several
         wedged workers still answers within one budget; shards whose
-        process is already gone are flagged immediately, without enqueueing
+        process is not running are flagged immediately, without enqueueing
         work items no consumer will ever pop.
-
-        With the per-worker transport a hard-killed worker can no longer
-        wedge the survivors' replies (there is no shared write lock to die
-        holding), so healthy shards answer at full fidelity even while a
-        sibling is a corpse; the deadline remains the backstop for shards
-        that are alive but buried behind a deep work queue.
         """
         deadline = time.monotonic() + timeout
-        records: List[Optional[dict]] = [None] * self.num_workers
+        workers = self._table.workers
+        records: List[Optional[dict]] = [None] * len(workers)
         futures = {}
-        dead = set()
         with self._lock:
-            dead = {index for index in range(self.num_workers)
-                    if self._dead[index]}
-        for index in range(self.num_workers):
-            if index in dead or not self._processes[index].is_alive():
-                records[index] = {"worker_id": index,
-                                  "error": "worker process is not alive",
-                                  "alive": False}
-            else:
-                futures[index] = self.submit("stats", None, worker=index)
+            running = [worker.state in _RUNNING for worker in workers]
+        for index, worker in enumerate(workers):
+            if running[index] and worker.process.is_alive():
+                try:
+                    futures[index] = self.submit("stats", None, worker=index)
+                    continue
+                except WorkerDiedError:        # failed since the read above
+                    pass
+            records[index] = {"worker_id": index,
+                              "error": "worker process is not alive",
+                              "alive": False}
         for index, future in futures.items():
             try:
                 remaining = max(0.0, deadline - time.monotonic())
@@ -990,7 +998,7 @@ class ShardedEngine:
                 records[index] = {
                     "worker_id": index,
                     "error": f"{type(exc).__name__}: {exc}",
-                    "alive": self._processes[index].is_alive(),
+                    "alive": workers[index].process.is_alive(),
                 }
                 # A future that will never resolve (dead worker) must not
                 # linger in the pending table until close().
@@ -1001,70 +1009,57 @@ class ShardedEngine:
         # heartbeat age doubles as the hang-detection signal surfaced.
         now = time.monotonic()
         with self._lock:
-            recovery = [(self._restarts[i], self._gave_up[i],
-                         self._resyncing[i], now - self._hb_seen[i][1])
-                        for i in range(self.num_workers)]
-        for index, record in enumerate(records):
-            if isinstance(record, dict):
-                restarts, gave_up, resyncing, hb_age = recovery[index]
-                record["restarts"] = restarts
-                record["gave_up"] = gave_up
-                record["resyncing"] = resyncing
-                record["heartbeat_age_s"] = hb_age
+            for worker, record in zip(workers, records):
+                if not isinstance(record, dict):   # a corrupted reply
+                    continue
+                record["restarts"] = worker.restarts
+                record["gave_up"] = worker.state == GAVE_UP
+                record["resyncing"] = worker.state == RESYNCING
+                record["heartbeat_age_s"] = now - worker.heartbeat_seen[1]
         return records
+
+    def _discard_future(self, future: Future) -> None:
+        """Drop one future from the pending tables by identity."""
+        with self._lock:
+            for worker in self._table.workers:
+                for ticket, (pending, _) in list(worker.pending.items()):
+                    if pending is future:
+                        del worker.pending[ticket]
+                        return
 
     # ------------------------------------------------------------------
     def close(self, timeout: float = 10.0) -> None:
         """Shut down workers and the coordinator threads; idempotent.
 
-        Any request still unresolved once the pool is down — queued behind
-        a shutdown, or stranded by a terminated worker — is failed with
+        Running shards answer what they already hold before the shutdown
+        frame; any request still unresolved once the pool is down —
+        stranded by a terminated worker — is failed with
         :class:`EngineClosedError`, so no caller ever blocks on a closed
         engine.
         """
         if self._closed:
             return
         self._closed = True
-        for index, request_queue in enumerate(self._request_queues):
-            with self._lock:
-                dead = self._dead[index]
-            if dead:
-                continue
-            try:
-                request_queue.put(("shutdown", -1,
-                                   pack_payload(None, None)))
-            except (OSError, ValueError):
-                pass
-        for process in self._processes:
-            process.join(timeout=timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
+        workers = self._table.workers
+        for worker in workers:
+            self._apply(worker.index, "close")
+        for worker in workers:
+            if worker.process is not None:
+                worker.process.join(timeout=timeout)
+                if worker.process.is_alive():
+                    worker.process.terminate()
+                    worker.process.join(timeout=5.0)
         self._stop.set()
-        for collector in self._collectors:
-            collector.join(timeout=5.0)
-        self._watchdog.join(timeout=5.0)
-        with self._lock:
-            self._respawn_due.clear()
-            pending = [future for future, _ in self._pending.values()]
-            self._pending.clear()
-            self._trace_ctx.clear()
-            self._inflight = [0] * self.num_workers
-        error = EngineClosedError("engine closed with requests in flight")
-        for future in pending:
-            try:
-                future.set_exception(error)
-            except InvalidStateError:
-                pass
+        if self._watchdog.is_alive():
+            self._watchdog.join(timeout=5.0)
+        for worker in workers:
+            self._apply(worker.index, "died")
         # Joined after the pending sweep: a supervisor blocked mid-resync on
         # a future is released by the sweep, not by a timeout.
-        self._supervisor.join(timeout=5.0)
-        for q in (*self._request_queues, *self._result_queues):
-            q.close()
-            q.cancel_join_thread()
-        for ring in (*self._request_rings, *self._result_rings):
-            if ring is not None:
-                ring.close()
+        if self._supervisor.is_alive():
+            self._supervisor.join(timeout=5.0)
+        for worker in workers:
+            self._retire(worker)
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -172,22 +172,6 @@ class SlotRing:
     def slots_in_use(self) -> int:
         return int(np.count_nonzero(self._flags))
 
-    def renew(self) -> "SlotRing":
-        """Tear this ring down and return a fresh one of identical geometry.
-
-        The supervisor's respawn path: a dead worker's rings are never
-        handed to its replacement, because the corpse may have died
-        mid-write with slot flags in arbitrary states and its (now
-        unreachable) kernel mappings still pinning the old segment.  Only
-        the owning side may renew — the fresh ring must own its segment so
-        the next teardown can unlink it.
-        """
-        if not self._owns:
-            raise ValueError("only the owning side of a ring can renew it")
-        slots, slot_bytes = self.slots, self.slot_bytes
-        self.close()
-        return SlotRing(slots, slot_bytes)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Detach from the segment; the owning side also unlinks it."""

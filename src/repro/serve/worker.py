@@ -25,9 +25,7 @@ kind                payload                                   result
 ==================  ========================================  =================
 ``ping``            ``None``                                  ``None``
 ``backbone``        images ``(N, C, H, W)``                   ``theta_a``
-``embed``           images                                    ``theta_p``
 ``predict``         ``(images, class_ids | None)``            labels ``int64``
-``similarities``    ``(images, class_ids | None)``            ``(sims, ids)``
 ``set_prototypes``  :class:`PrototypeState`                   acked ``version``
 ``stats``           ``None``                                  stats ``dict``
 ``chaos``           settings ``dict``                         applied ``dict``
@@ -48,6 +46,7 @@ at the caller as :class:`~repro.serve.sharded.RemoteWorkerError`.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from typing import Optional, Sequence, Tuple
@@ -90,7 +89,6 @@ class _WorkerState:
             memory_plan=snapshot.fcr.restore_memory_plan(),
             registry=self.registry, metrics_prefix="engine.fcr")
         self.prototypes: PrototypeState = snapshot.prototypes
-        self.relu_sharpening = snapshot.relu_sharpening
         self.mode = getattr(snapshot, "mode", "float32")
         self._protos_q = None          # int8 codes, rebuilt per broadcast
         self._requests = self.registry.counter("worker.requests_total")
@@ -111,9 +109,6 @@ class _WorkerState:
         self.backbone.close()
         self.fcr.close()
 
-    def embed(self, images: np.ndarray) -> np.ndarray:
-        return self.fcr.run(self.backbone.run(images))
-
     def similarities(self, images: np.ndarray,
                      class_ids: Optional[Sequence[int]]
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -121,7 +116,7 @@ class _WorkerState:
         if ids.size == 0:
             raise ValueError("worker has an empty prototype state; broadcast "
                              "prototypes (Server.sync_prototypes) first")
-        features = self.embed(images)
+        features = self.fcr.run(self.backbone.run(images))
         if self.mode == "int8":
             # Same arithmetic as the coordinator's int8 predictor: quantized
             # unit rows, exact integer GEMM, float rescale — so worker and
@@ -157,18 +152,10 @@ class _WorkerState:
             return None
         if kind == "backbone":
             return self.backbone.run(payload)
-        if kind == "embed":
-            return self.embed(payload)
         if kind == "predict":
             images, class_ids = payload
             sims, ids = self.similarities(images, class_ids)
             return ids[np.argmax(sims, axis=1)]
-        if kind == "similarities":
-            images, class_ids = payload
-            sims, ids = self.similarities(images, class_ids)
-            if self.relu_sharpening:
-                sims = np.maximum(sims, 0.0)
-            return sims, ids
         if kind == "set_prototypes":
             self.prototypes = payload
             self._protos_q = None
@@ -194,10 +181,17 @@ class _WorkerState:
         raise ValueError(f"unknown work item kind {kind!r}")
 
 
-def worker_main(worker_id: int, snapshot: ModelSnapshot, request_queue,
-                result_queue, request_ring_spec=None,
-                result_ring_spec=None, heartbeat=None) -> None:
+def worker_main(worker_id: int, request_queue, result_queue,
+                request_ring_spec=None, result_ring_spec=None,
+                heartbeat=None) -> None:
     """Entry point of a worker process (must stay importable for spawn).
+
+    The first item on ``request_queue`` is the pickled
+    :class:`~repro.serve.snapshot.ModelSnapshot` to restore, packed like
+    any payload (a ring slot of bytes, or inline).  The process arguments
+    are small handles only: ``spawn`` writes them into a pipe the child
+    reads while it bootstraps, and a child that dies before reading must
+    not leave the parent's ``start()`` blocked on that write.
 
     ``request_ring_spec`` / ``result_ring_spec`` are
     :meth:`~repro.serve.transport.SlotRing.spec` tuples of the
@@ -223,7 +217,10 @@ def worker_main(worker_id: int, snapshot: ModelSnapshot, request_queue,
         if request_ring_spec is not None else None
     result_ring = SlotRing.attach(result_ring_spec) \
         if result_ring_spec is not None else None
-    state = _WorkerState(worker_id, snapshot)
+    snapshot, held_slots = unpack_payload(request_ring, request_queue.get())
+    state = _WorkerState(worker_id, pickle.loads(snapshot))
+    for slot in held_slots:
+        request_ring.free(slot)
     # Spans finished in this process buffer in memory and ship back to the
     # coordinator attached to the result control frame — the worker never
     # writes trace files of its own, so one JSONL export stream exists.

@@ -10,6 +10,7 @@ tree marked ``failed`` instead of silently truncating the trace.
 """
 
 import os
+import pickle
 import queue as queue_module
 import signal
 import threading
@@ -448,7 +449,7 @@ class TestTracePropagation:
         with ShardedEngine(snapshot, num_workers=2,
                            watchdog_interval_s=0.05,
                            tracer=tracer) as engine:
-            victim = engine._processes[0]
+            victim = engine._table.workers[0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)             # the corpse is real ...
             assert not victim.is_alive()
@@ -481,8 +482,9 @@ class TestTracePropagation:
         snapshot = snapshot_model(model, micro_batch=4)
         requests: "queue_module.Queue" = queue_module.Queue()
         results: "queue_module.Queue" = queue_module.Queue()
+        requests.put(pickle.dumps(snapshot))
         worker = threading.Thread(target=worker_main,
-                                  args=(0, snapshot, requests, results))
+                                  args=(0, requests, results))
         worker.start()
         try:
             ok_ctx = ("a" * 16, "b" * 16)

@@ -389,8 +389,9 @@ class TestWorkerLifecycle:
         requests: "queue_module.Queue" = queue_module.Queue()
         results: "queue_module.Queue" = queue_module.Queue()
         before = set(threading.enumerate())
+        requests.put(pickle.dumps(snapshot))
         worker = threading.Thread(target=worker_main,
-                                  args=(0, snapshot, requests, results))
+                                  args=(0, requests, results))
         worker.start()
         try:
             # 12 samples / micro_batch 4: the first chunk records the memory
@@ -426,7 +427,7 @@ class TestDegradedStats:
         with Server(model, num_workers=2, micro_batch=4,
                     max_respawns=0) as server:
             server.predict(shots[:8])   # two chunks -> warms both replicas
-            victim = server.engine._processes[0]
+            victim = server.engine._table.workers[0].process
             # Let the victim's result-queue feeder thread go quiescent
             # before the hard kill.  Channels are fully per-worker, so a
             # worker terminated mid-write can only poison its *own* result
@@ -485,7 +486,7 @@ class TestFaultInjection:
             big = rng.standard_normal((64, *IMAGE_SHAPE)).astype(np.float32)
             inflight = [server.engine.submit("backbone", big, worker=0)
                         for _ in range(4)]
-            os.kill(server.engine._processes[0].pid, signal.SIGKILL)
+            os.kill(server.engine.worker_pids[0], signal.SIGKILL)
 
             started = time.monotonic()
             failures = 0
@@ -518,8 +519,8 @@ class TestFaultInjection:
                 server.engine.submit("backbone", queries[:2], worker=0)
 
             # The watchdog reclaimed every slot the victim held.
-            for ring in (server.engine._request_rings[0],
-                         server.engine._result_rings[0]):
+            victim = server.engine._table.workers[0]
+            for ring in (victim.request_ring, victim.result_ring):
                 assert ring is not None and ring.slots_in_use == 0
 
 
@@ -533,7 +534,9 @@ class TestEngineClose:
         engine = ShardedEngine(snapshot, num_workers=1)
         try:
             rng = np.random.default_rng(3)
-            big = rng.standard_normal((64, *IMAGE_SHAPE)).astype(np.float32)
+            # Six 256-image batches take the worker well past the 50 ms
+            # deadline (six of 64 images could finish inside it).
+            big = rng.standard_normal((256, *IMAGE_SHAPE)).astype(np.float32)
             futures = [engine.submit("backbone", big) for _ in range(6)]
         finally:
             engine.close(timeout=0.05)
@@ -591,7 +594,8 @@ class TestTransportParity:
         model, _ = make_learned_model(seed=9)
         reference = model.runtime_predictor().predict(queries)
         with Server(model, num_workers=2, use_shared_memory=False) as server:
-            assert all(ring is None for ring in server.engine._request_rings)
+            assert all(worker.request_ring is None
+                       for worker in server.engine._table.workers)
             np.testing.assert_array_equal(server.predict(queries), reference)
             sims, ids = server.similarities(queries[:32])
             ref_sims, ref_ids = model.runtime_predictor() \

@@ -7,10 +7,11 @@ Three layers, cheapest first:
 2. **learn_class journal** — file-level round-trips, torn-tail tolerance,
    mid-file corruption detection, and bit-exact replay into a fresh
    :class:`ExplicitMemory`.
-3. **Live recovery** (spawned workers) — SIGKILL → respawn → resync →
-   rejoin, the crash-loop budget's typed give-up, SIGSTOP heartbeat
-   escalation, ``max_respawns=0`` preserving the old degraded mode, and
-   learn → crash → restore bit parity through a real server.
+3. **Live recovery** (spawned workers) — ``max_respawns=0`` preserving the
+   old degraded mode, the recovery events of one clean respawn, and a
+   worker that dies while bootstrapping failing startup with a typed error
+   instead of a hang.  The other recovery behaviours run once each as
+   scenarios (``tests/test_scenarios.py``).
 
 The process-spawning tests use a fast zero-jitter backoff and a tight
 watchdog so recovery completes in tens of milliseconds of supervisor time;
@@ -19,7 +20,10 @@ the generous deadlines only bound CI-machine scheduling noise.
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,34 +37,20 @@ from repro.serve import (
     LearnJournal,
     RemoteWorkerError,
     Server,
-    WorkerDiedError,
     snapshot_model,
 )
+from repro.scenarios.runner import RECOVERY_WINDOW_S, await_recovery
 from repro.serve.journal import MAGIC, read_journal, replay
 from repro.serve.sharded import ShardedEngine
 
-from test_serve import IMAGE_SHAPE, make_learned_model
+from test_serve import make_learned_model
 
-#: Wall-clock bound on one supervised recovery in these tests (fast
-#: backoff + spawn + replica restore + resync), generous for loaded CI.
-RECOVERY_DEADLINE_S = 60.0
+#: ``src/`` of this checkout, for the subprocess that imports ``repro``.
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def fast_backoff(seed: int = 0) -> BackoffSchedule:
     return BackoffSchedule(base_s=0.05, cap_s=0.1, jitter=0.0, seed=seed)
-
-
-def await_recovery(engine, worker: int, old_pid: int,
-                   deadline_s: float = RECOVERY_DEADLINE_S) -> float:
-    """Poll until ``worker`` is live under a new pid; returns elapsed."""
-    started = time.monotonic()
-    while time.monotonic() - started < deadline_s:
-        if (worker in engine.live_workers
-                and engine.worker_pids[worker] != old_pid):
-            return time.monotonic() - started
-    raise AssertionError(
-        f"worker {worker} not respawned within {deadline_s}s "
-        f"(live={engine.live_workers}, gave_up={engine.gave_up_workers})")
 
 
 # ---------------------------------------------------------------------------
@@ -225,95 +215,12 @@ class TestJournal:
 # ---------------------------------------------------------------------------
 # Live recovery (spawned workers)
 # ---------------------------------------------------------------------------
+# SIGKILL respawn, the crash-loop budget, SIGSTOP escalation and journal
+# replay through a live server are checked once each, by the kill_recover,
+# crash_loop, sigstop_escalation and restart_replay scenarios
+# (tests/test_scenarios.py); the transitions behind them are enumerated in
+# tests/test_serve_lifecycle.py.
 class TestSupervisedRespawn:
-    def test_sigkill_respawns_resyncs_and_rejoins(self):
-        model, shots = make_learned_model(seed=10)
-        expected = model.runtime_predictor().predict(shots)
-        with Server(model, num_workers=2, watchdog_interval_s=0.05,
-                    respawn_backoff=fast_backoff()) as server:
-            server.predict(shots[:8])              # warm both replicas
-            engine = server.engine
-            old_pid = engine.worker_pids[1]
-            os.kill(old_pid, signal.SIGKILL)
-            await_recovery(engine, 1, old_pid)
-            assert sorted(engine.live_workers) == [0, 1]
-            assert engine.restart_counts == [0, 1]
-            assert engine.gave_up_workers == []
-            # Targeted work proves the replacement resynced its prototype
-            # replica (routing parity alone could hide an empty replica).
-            labels = engine.submit("predict", (shots[:6], None),
-                                   worker=1).result(timeout=60.0)
-            np.testing.assert_array_equal(labels, expected[:6])
-            report = server.stats_dict(timeout=10.0)
-            assert report["dead_workers"] == []
-            assert report["worker_failures"] == 1
-            assert report["worker_restarts"] == 1
-            assert report["restart_counts"] == [0, 1]
-            latency = report["last_recovery_latency_s"]
-            assert latency is not None and 0.0 < latency < 60.0
-
-    def test_crash_loop_budget_gives_up_with_typed_errors(self):
-        # The crash-loop regression pin: kill every incarnation of worker 0
-        # and the supervisor must stop at max_respawns, leave the shard
-        # terminally dead with coherent stats, and keep the survivor exact.
-        model, shots = make_learned_model(seed=10)
-        expected = model.runtime_predictor().predict(shots)
-        with Server(model, num_workers=2, watchdog_interval_s=0.05,
-                    max_respawns=1, respawn_backoff=fast_backoff()) as server:
-            engine = server.engine
-            server.predict(shots[:8])
-            deadline = time.monotonic() + RECOVERY_DEADLINE_S
-            while 0 not in engine.gave_up_workers:
-                assert time.monotonic() < deadline, \
-                    f"budget never exhausted: {engine.restart_counts}"
-                if 0 in engine.live_workers:
-                    try:
-                        os.kill(engine.worker_pids[0], signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                time.sleep(0.02)
-            assert engine.gave_up_workers == [0]
-            assert engine.restart_counts[0] <= 1
-            with pytest.raises(WorkerDiedError, match="dead"):
-                engine.submit("ping", None, worker=0)
-            np.testing.assert_array_equal(server.predict(shots), expected)
-            report = server.stats_dict(timeout=10.0)
-            assert report["gave_up_workers"] == [0]
-            assert report["dead_workers"] == [0]
-            assert report["live_workers"] == [1]
-            assert report["respawns_abandoned"] == 1
-            assert report["worker_failures"] >= 2
-
-    def test_hang_escalation_replaces_sigstopped_worker(self):
-        model, shots = make_learned_model(seed=10)
-        expected = model.runtime_predictor().predict(shots)
-        with Server(model, num_workers=2, watchdog_interval_s=0.05,
-                    hang_silence_s=0.5,
-                    respawn_backoff=fast_backoff()) as server:
-            engine = server.engine
-            server.predict(shots[:8])
-            old_pid = engine.worker_pids[0]
-            os.kill(old_pid, signal.SIGSTOP)
-            try:
-                elapsed = await_recovery(engine, 0, old_pid)
-            finally:
-                # The corpse was SIGKILLed by escalation; a stray SIGCONT
-                # to a recycled pid is harmless, an un-CONTed survivor on a
-                # failed test would wedge close().
-                for pid in engine.worker_pids:
-                    try:
-                        os.kill(pid, signal.SIGCONT)
-                    except (ProcessLookupError, PermissionError):
-                        pass
-            assert elapsed > 0.4            # waited out the silence window
-            labels = engine.submit("predict", (shots[:6], None),
-                                   worker=0).result(timeout=60.0)
-            np.testing.assert_array_equal(labels, expected[:6])
-            report = server.stats_dict(timeout=10.0)
-            assert report["hang_escalations"] == 1
-            assert report["worker_restarts"] == 1
-            assert report["dead_workers"] == []
-
     def test_max_respawns_zero_preserves_degraded_mode(self):
         # The pre-supervisor contract, now opt-in: a killed shard stays
         # dead, nothing respawns, survivors serve around the corpse.
@@ -354,7 +261,7 @@ class TestSupervisedRespawn:
             # The supervisor thread emits ``respawned`` after it has made
             # the shard routable, so the event can land after the poll
             # above returns: wait for all three within the same deadline.
-            deadline = time.monotonic() + RECOVERY_DEADLINE_S
+            deadline = time.monotonic() + RECOVERY_WINDOW_S
             while len(events) < 3 and time.monotonic() < deadline:
                 time.sleep(0.01)
             kinds = [event["event"] for event in events]
@@ -367,42 +274,54 @@ class TestSupervisedRespawn:
             engine.close()
 
 
-class TestJournalThroughServer:
-    def test_learn_crash_restore_bit_parity(self, tmp_path):
-        # End to end: journalled learns (one racing a worker crash), full
-        # teardown, fresh server restored from the journal alone.
-        journal_path = tmp_path / "server.journal"
-        model, shots = make_learned_model(seed=10)
-        rng = np.random.default_rng(23)
-        queries = rng.standard_normal((20, *IMAGE_SHAPE)).astype(np.float32)
-        novel = {6: rng.standard_normal((5, *IMAGE_SHAPE)).astype(np.float32),
-                 7: rng.standard_normal((5, *IMAGE_SHAPE)).astype(np.float32)}
-        with Server(model, num_workers=2, watchdog_interval_s=0.05,
-                    respawn_backoff=fast_backoff(),
-                    journal_path=journal_path) as server:
-            server.predict(queries[:8])
-            server.learn_class(novel[6], 6)
-            old_pid = server.engine.worker_pids[0]
-            os.kill(old_pid, signal.SIGKILL)
-            server.learn_class(novel[7], 7)     # races the respawn
-            await_recovery(server.engine, 0, old_pid)
-            saved_matrix, saved_ids = model.memory.prototype_matrix()
-            saved_matrix = saved_matrix.copy()
-            saved_version = model.memory.version
-            saved_counts = dict(model.memory._counts)
-            saved_predictions = server.predict(queries)
-        twin, _ = make_learned_model(seed=10)
-        with Server(twin, num_workers=1) as restored:
-            assert restored.restore(journal_path) == 2
-            matrix, ids = twin.memory.prototype_matrix()
-            np.testing.assert_array_equal(ids, saved_ids)
-            np.testing.assert_array_equal(matrix, saved_matrix)
-            assert twin.memory.version == saved_version
-            assert dict(twin.memory._counts) == saved_counts
-            np.testing.assert_array_equal(restored.predict(queries),
-                                          saved_predictions)
-            # restore() resynced the workers: served answers above came
-            # from replicas at the restored version.
-            versions = [record["prototype_version"]
-                        for record in restored.worker_stats()]
-            assert versions == [twin.memory.version]
+#: A script that builds a one-worker server with no ``__main__`` guard.
+#: Fed to ``python -`` it cannot work under ``spawn``: the worker cannot
+#: re-import ``<stdin>`` and dies while bootstrapping.  The parent must
+#: raise a typed error promptly, and release every thread and
+#: shared-memory segment it started, instead of hanging.  Without shared
+#: memory the snapshot is an inline frame larger than the pipe buffer, so
+#: its queue's feeder thread is left blocked unless startup drains it.
+STDIN_SERVER_SCRIPT = """
+import sys
+import threading
+
+from repro.core import OFSCIL, OFSCILConfig
+from repro.serve import Server
+
+model = OFSCIL.from_registry("mobilenetv2_x4_tiny",
+                             OFSCILConfig(backbone="mobilenetv2_x4_tiny"))
+try:
+    Server(model, num_workers=1, use_shared_memory={shared_memory})
+finally:
+    others = [thread for thread in threading.enumerate()
+              if thread is not threading.main_thread()]
+    for thread in others:
+        thread.join(timeout=5.0)
+    print("threads left:", sorted(thread.name for thread in others
+                                  if thread.is_alive()), file=sys.stderr)
+"""
+
+
+class TestStartupFailure:
+    @pytest.mark.parametrize("shared_memory", [True, False])
+    def test_worker_dying_at_bootstrap_fails_startup_with_typed_error(
+            self, tmp_path, shared_memory):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-"],
+                input=STDIN_SERVER_SCRIPT.format(shared_memory=shared_memory),
+                capture_output=True, text=True, timeout=60, cwd=tmp_path,
+                env=env)
+        except subprocess.TimeoutExpired:
+            pytest.fail("Server startup hung on a worker that died while "
+                        "bootstrapping")
+        assert result.returncode != 0
+        assert ("WorkerDiedError" in result.stderr
+                or "RemoteWorkerError" in result.stderr), result.stderr
+        assert "threads left: []" in result.stderr, result.stderr
+        leaks = [line for line in result.stderr.splitlines()
+                 if "resource_tracker" in line and "shared_memory" in line]
+        assert leaks == [], result.stderr
