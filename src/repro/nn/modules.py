@@ -7,6 +7,7 @@ of ``torch.nn`` so the model code in :mod:`repro.models` reads naturally.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -24,8 +25,29 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=requires_grad, name=name)
 
 
+#: Source of :attr:`Module.structure_epoch` values.  ``next`` is atomic, so
+#: two threads bumping at once never publish the same value.
+_epochs = itertools.count(1)
+
+
+def _bump() -> None:
+    Module.structure_epoch = next(_epochs)
+
+
 class Module:
     """Base class for all neural network modules."""
+
+    #: Process-wide structure epoch.  Every method that changes what a
+    #: compiled plan reads from a module tree, other than rebinding a
+    #: parameter's ``data``, gives it a new value after the change: setting
+    #: a :class:`Parameter` or :class:`Module` attribute, registering or
+    #: updating a buffer, and adding or removing a forward hook.  A cache of
+    #: a walk over the tree (:class:`~repro.runtime.BatchedPredictor`'s
+    #: engines) stays valid while the epoch it read before walking is
+    #: current.  Structure must change through these methods: a direct
+    #: write to ``_parameters``, ``_buffers``, ``_modules`` or
+    #: ``_forward_hooks`` leaves the epoch, and such caches, behind.
+    structure_epoch = 0
 
     def __init__(self):
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
@@ -37,15 +59,21 @@ class Module:
     # -- attribute plumbing -------------------------------------------------
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
-            self.__dict__.setdefault("_parameters", OrderedDict())[name] = value
+            registry = "_parameters"
         elif isinstance(value, Module):
-            self.__dict__.setdefault("_modules", OrderedDict())[name] = value
+            registry = "_modules"
+        else:
+            object.__setattr__(self, name, value)
+            return
+        self.__dict__.setdefault(registry, OrderedDict())[name] = value
         object.__setattr__(self, name, value)
+        _bump()
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-trainable array that is part of the module state."""
         self._buffers[name] = value
         object.__setattr__(self, name, value)
+        _bump()
 
     def update_buffer(self, name: str, value: np.ndarray) -> None:
         """Update a previously registered buffer in place of the registry."""
@@ -53,6 +81,7 @@ class Module:
             raise KeyError(f"buffer {name!r} was never registered")
         self._buffers[name] = value
         object.__setattr__(self, name, value)
+        _bump()
 
     # -- traversal ----------------------------------------------------------
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
@@ -126,7 +155,9 @@ class Module:
         missing = []
         for name, param in own_params.items():
             if name in state:
-                param.data = np.asarray(state[name], dtype=param.data.dtype).reshape(param.shape)
+                # A copy, as for buffers: editing ``state`` later must not
+                # reach the module's weights.
+                param.data = np.array(state[name], dtype=param.data.dtype).reshape(param.shape)
             elif strict:
                 missing.append(name)
         for prefix, module in self.named_modules():
@@ -150,6 +181,7 @@ class Module:
         output.  Used e.g. by the activation quantization pass.
         """
         self._forward_hooks.append(hook)
+        _bump()
 
     def remove_forward_hook(self, hook) -> None:
         """Remove ``hook`` (by identity) from this module's hooks, in place.
@@ -160,9 +192,11 @@ class Module:
         hooks = self._forward_hooks
         hooks[:] = [registered for registered in hooks
                     if registered is not hook]
+        _bump()
 
     def clear_forward_hooks(self) -> None:
         self._forward_hooks.clear()
+        _bump()
 
     def __call__(self, *args, **kwargs):
         output = self.forward(*args, **kwargs)

@@ -20,9 +20,10 @@ per plan step in execution order, named relative to its plan (e.g.
 except that convolutions the depthwise kernel runs (one input channel per
 group, see :attr:`Step.kind <repro.runtime.plan.Step.kind>`) aggregate as
 ``depthwise``, apart from the GEMM convolutions.  Those depthwise steps and
-the int8 conv epilogues run in the C kernels of :mod:`repro.runtime.native`
-when that library loads and in NumPy when it does not, so the table times
-whichever path ran; ``plan_stats`` prints which one (``native_kernels``).
+the conv epilogues after the GEMMs run in the C kernels of
+:mod:`repro.runtime.native` when that library loads and in NumPy when it
+does not, so the table times whichever path ran; ``plan_stats`` prints
+which one (``native_kernels``).
 """
 
 from __future__ import annotations

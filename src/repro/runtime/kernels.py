@@ -14,15 +14,17 @@ wrappers, no autograd bookkeeping.  Four ideas keep them fast:
 * **batched GEMM** — dense and pointwise convolutions are expressed as
   ``matmul`` over the whole micro-batch, hitting BLAS instead of Python
   loops;
-* **C where NumPy is slow** — the depthwise tap loop and the int8
-  requantize/dequantize epilogues after the conv GEMM run in the C kernels
-  of :mod:`repro.runtime.native` when that library loads.  The NumPy code
+* **C where NumPy is slow** — the depthwise tap loop and the epilogues
+  after the conv GEMMs (float32 bias + activation, int8
+  requantize/dequantize) run in the C kernels of
+  :mod:`repro.runtime.native` when that library loads.  The NumPy code
   beside each call is the fallback and the reference: both give the same
   bits.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -134,21 +136,23 @@ def _constant(constants: Optional[dict], key, make: Callable):
 
 
 def _destination(out: Optional[np.ndarray], shape: Tuple[int, ...],
-                 flat_shape: Tuple[int, ...], dtype) -> Callable:
-    """``() -> (result, flat)`` for a bound call's output.
+                 flat_shape: Tuple[int, ...], dtype) -> Tuple[Callable, Tuple]:
+    """``(destination, views)``: ``destination()`` is a bound call's output
+    as ``(result, flat)``.
 
     With ``out`` the two views of it are made once and returned on every
-    call, so the next step can bind to the same objects; without it each
-    call gets a fresh array, since the caller keeps the result.
+    call and as ``views``, so the next step and a C kernel can bind to the
+    same objects; without it each call gets a fresh array, since the caller
+    keeps the result, and ``views`` is ``(None, None)``.
     """
     if out is not None:
         views = (out.reshape(shape), out.reshape(flat_shape))
-        return lambda: views
+        return (lambda: views), views
 
     def fresh():
         result = np.empty(shape, dtype=dtype)
         return result, result.reshape(flat_shape)
-    return fresh
+    return fresh, (None, None)
 
 
 def bind_reshape(x: np.ndarray, shape: Tuple[int, ...]) -> Callable:
@@ -326,6 +330,16 @@ def depthwise_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1,
     return bind_depthwise(x, weight, stride, padding, cache)(x, out)
 
 
+def conv_epilogue(dest: np.ndarray, bias: Optional[np.ndarray],
+                  act: Optional[str]) -> None:
+    """``+ bias`` per channel, then ``act``, in place on a ``(n, c, spatial)``
+    conv output: the NumPy fallback of the C ``bias_act_f32`` kernel, and
+    its tests' oracle."""
+    if bias is not None:
+        dest += bias.reshape(-1, 1)
+    apply_activation(dest, act)
+
+
 def bind_conv(x: np.ndarray, weight: np.ndarray,
               bias: Optional[np.ndarray] = None, stride: int = 1,
               padding: int = 0, groups: int = 1, act: Optional[str] = None,
@@ -341,11 +355,11 @@ def bind_conv(x: np.ndarray, weight: np.ndarray,
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
     spatial = out_h * out_w
-    destination = _destination(out, (n, out_c, out_h, out_w),
-                               (n, out_c, spatial), np.float32)
+    destination, (result0, dest0) = _destination(
+        out, (n, out_c, out_h, out_w), (n, out_c, spatial), np.float32)
     if is_depthwise(weight, groups):
         kernel = native.bind_depthwise_f32(x, weight, bias, stride, padding,
-                                           act, cache, out)
+                                           act, cache, result0)
         if kernel is not None:
             def call(x):
                 result, _ = destination()
@@ -382,14 +396,15 @@ def bind_conv(x: np.ndarray, weight: np.ndarray,
             fill(x)
             np.einsum("gok,ngkl->ngol", weight_g, cols_g, optimize=True,
                       out=dest.reshape(grouped))
-    shift = None if bias is None else bias.reshape(1, out_c, 1)
+    epilogue = native.bind_bias_act_f32((n, out_c, spatial), bias, act,
+                                        dest0)
+    if epilogue is None:
+        epilogue = functools.partial(conv_epilogue, bias=bias, act=act)
 
     def call(x):
         result, dest = destination()
         product(x, dest, result)
-        if shift is not None:
-            dest += shift
-        apply_activation(dest, act)
+        epilogue(dest)
         return result
     return call
 
@@ -775,13 +790,13 @@ def bind_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
     out_c, _, kh, kw = weight_q.shape
     out_h = conv_output_size(q.shape[2], kh, stride, padding)
     out_w = conv_output_size(q.shape[3], kw, stride, padding)
-    destination = _destination(out, (n, out_c, out_h, out_w),
-                               (n, out_c, out_h * out_w), np.int8)
+    destination, (result0, _) = _destination(
+        out, (n, out_c, out_h, out_w), (n, out_c, out_h * out_w), np.int8)
     if is_depthwise(weight_q, groups) \
             and _conv_acc_dtype(weight_q, acc_bound) == np.float32:
         kernel = native.bind_depthwise_s8(q, weight_q, bias_q, multiplier,
                                           stride, padding, qmin, qmax, cache,
-                                          out)
+                                          result0)
         if kernel is not None:
             def call(q):
                 result, _ = destination()
@@ -790,7 +805,8 @@ def bind_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
             return call
     fill, acc = bind_accumulate(q, weight_q, stride, padding, groups, cache,
                                 acc_bound, constants)
-    kernel = native.bind_requantize(acc, bias_q, multiplier, qmin, qmax, out)
+    kernel = native.bind_requantize(acc, bias_q, multiplier, qmin, qmax,
+                                    result0)
     if kernel is not None:
         def call(q):
             fill(q)
@@ -849,9 +865,9 @@ def bind_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
     kh, kw = weight_q.shape[2], weight_q.shape[3]
     out_h = conv_output_size(q.shape[2], kh, stride, padding)
     out_w = conv_output_size(q.shape[3], kw, stride, padding)
-    destination = _destination(out, (n, out_c, out_h, out_w),
-                               (n, out_c, out_h * out_w), np.float32)
-    kernel = native.bind_dequantize(acc, dequant, bias, act, out)
+    destination, (result0, _) = _destination(
+        out, (n, out_c, out_h, out_w), (n, out_c, out_h * out_w), np.float32)
+    kernel = native.bind_dequantize(acc, dequant, bias, act, result0)
     if kernel is not None:
         def call(q):
             fill(q)
@@ -860,16 +876,13 @@ def bind_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
             return result
         return call
     scale = dequant.reshape(1, out_c, 1)
-    shift = None if bias is None else bias.reshape(1, out_c, 1)
 
     def call(q):
         fill(q)
         scaled = acc * scale
         result, dest = destination()
         np.copyto(dest, scaled, casting="unsafe")
-        if shift is not None:
-            dest += shift
-        apply_activation(dest, act)
+        conv_epilogue(dest, bias, act)
         return result
     return call
 

@@ -1,12 +1,13 @@
 /* Native kernels of the batched inference runtime.
  *
- * Four kernels, loaded through ctypes by native.py:
+ * Five kernels, loaded through ctypes by native.py:
  *
  *   depthwise_f32  float32 depthwise conv + bias + activation;
  *   depthwise_s8   int8 depthwise conv, exact accumulation, then the
  *                  requantization epilogue;
+ *   bias_act_f32   the float32 epilogue after a BLAS conv GEMM;
  *   requantize     the int8 epilogue after a BLAS conv GEMM;
- *   dequantize     the float epilogue after a BLAS conv GEMM.
+ *   dequantize     the float epilogue after an int8 BLAS conv GEMM.
  *
  * Each one replays the per-element arithmetic of the NumPy kernel it stands
  * in for (repro/runtime/kernels.py), so its output is bit-identical.  That
@@ -162,6 +163,15 @@ void depthwise_s8(const int8_t *x, const int8_t *w, const int32_t *bias,
         requantize_plane(acc, (float)bias[ch], multiplier[ch], qmin, qmax,
                          out + p * oh * ow, oh * ow);
     }
+}
+
+/* out (n, c, spatial) float32, bias (c) float32 or NULL: fused_conv's
+ * epilogue after its GEMM, in place: + bias, then the activation. */
+void bias_act_f32(float *out, const float *bias, long n, long c,
+                  long spatial, long act)
+{
+    for (long p = 0; p < n * c; p++)
+        bias_act(out + p * spatial, spatial, bias ? bias + p % c : NULL, act);
 }
 
 /* acc (n, c, spatial) float32 exact integers, bias (c) int32, multiplier

@@ -1,9 +1,10 @@
-"""C kernels for the depthwise tap loop and the int8 conv epilogues.
+"""C kernels for the depthwise tap loop and the conv epilogues.
 
-``native.c`` holds four kernels that :mod:`repro.runtime.kernels` calls
+``native.c`` holds five kernels that :mod:`repro.runtime.kernels` calls
 when the library is loaded: the float32 depthwise conv with its bias +
 activation epilogue, the int8 depthwise ``qconv`` (exact integer
-accumulation, then requantization), and the requantize and dequantize
+accumulation, then requantization), the bias + activation epilogue that
+follows the BLAS GEMM of ``fused_conv``, and the requantize and dequantize
 epilogues that follow the BLAS GEMM of ``fused_qconv`` and
 ``fused_qconv_dequant``.  Each replays the per-element arithmetic of the
 NumPy code it replaces, so no float32 or int8 bit moves.  The int8 taps
@@ -62,6 +63,7 @@ _COMPILER_TIMEOUT_S = 120
 _SIGNATURES = {
     "depthwise_f32": (5, 9),
     "depthwise_s8": (6, 10),
+    "bias_act_f32": (2, 4),
     "requantize": (4, 5),
     "dequantize": (4, 4),
 }
@@ -270,6 +272,36 @@ def bind_depthwise_s8(q: np.ndarray, weight_q: np.ndarray,
     return call
 
 
+def bind_bias_act_f32(shape: Tuple[int, int, int],
+                      bias: Optional[np.ndarray], act: Optional[str],
+                      out: Optional[np.ndarray]) -> Optional[Callable]:
+    """Bind ``fused_conv``'s epilogue after a float32 ``(n, c, spatial)`` GEMM.
+
+    Returns ``call(out)``, which adds ``bias`` per channel and applies
+    ``act`` in place, or None when C cannot run it.  ``out=None`` means
+    every call brings its own array.
+    """
+    lib = library()
+    if lib is None or act not in _ACT_CODES:
+        return None
+    n, c, spatial = shape
+    size = n * c * spatial
+    if not ((bias is None or _ok(bias, np.float32, c))
+            and (out is None or _ok(out, np.float32, size))):
+        return None
+    out0, out_address = _operand(out)
+    bias_address = None if bias is None else bias.ctypes.data
+    act_code = _ACT_CODES[act]
+
+    def call(out):
+        lib.bias_act_f32(
+            out_address if out is out0 else _data(out, np.float32, size),
+            bias_address, n, c, spatial, act_code)
+
+    call.arrays = (bias,)
+    return call
+
+
 def bind_requantize(acc: np.ndarray, bias_q: np.ndarray,
                     multiplier: np.ndarray, qmin: int, qmax: int,
                     out: Optional[np.ndarray]) -> Optional[Callable]:
@@ -334,11 +366,10 @@ def bind_dequantize(acc: np.ndarray, dequant: np.ndarray,
     return call
 
 
-def _run_once(call: Optional[Callable], x: np.ndarray,
-              out: np.ndarray) -> bool:
+def _run_once(call: Optional[Callable], *arrays: np.ndarray) -> bool:
     if call is None:
         return False
-    call(x, out)
+    call(*arrays)
     return True
 
 
@@ -357,6 +388,12 @@ def depthwise_s8(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
     return _run_once(bind_depthwise_s8(q, weight_q, bias_q, multiplier,
                                        stride, padding, qmin, qmax, cache,
                                        out), q, out)
+
+
+def bias_act_f32(out: np.ndarray, bias: Optional[np.ndarray],
+                 act: Optional[str]) -> bool:
+    """``fused_conv``'s epilogue in place on a float32 ``(n, c, spatial)``."""
+    return _run_once(bind_bias_act_f32(out.shape, bias, act, out), out)
 
 
 def requantize(acc: np.ndarray, bias_q: np.ndarray, multiplier: np.ndarray,

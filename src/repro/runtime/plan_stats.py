@@ -9,10 +9,13 @@ optimized plan's ``pass_stats``) and ``compile_cold_ms``, the wall time of
 compiling and optimizing the backbone and FCR of a fresh predictor — the
 guard against cold-compile regressions.  ``native_kernels`` says whether
 the C kernels of :mod:`repro.runtime.native` ran the plan (``yes``) or the
-NumPy fallback did (``no``).  ``cache_bytes`` is the scratch and arena
-memory of one execution context after every batch size from 1 to the
-micro-batch has run through the backbone: the bound that memory must not
-outgrow, whatever the mix of batch sizes.
+NumPy fallback did (``no``).  ``engine_check_us`` is the fastest of
+:data:`ENGINE_CHECKS` ``backbone_engine`` accesses on the unchanged model:
+the staleness check every ``predict`` and ``learn_class`` pays.
+``cache_bytes`` is the scratch and arena memory of one execution context
+after every batch size from 1 to the micro-batch has run through the
+backbone: the bound that memory must not outgrow, whatever the mix of
+batch sizes.
 
 ``python -m repro.runtime.plan_stats <backbone> int8`` reports the integer
 plan instead: the model is put through the deterministic PTQ recipe (seeded
@@ -46,6 +49,7 @@ import numpy as np
 
 DEFAULT_BACKBONE = "mobilenetv2_x4_tiny"
 WARMUP_SAMPLES = 8
+ENGINE_CHECKS = 200
 
 
 def _build_model(backbone: str, mode: str):
@@ -92,6 +96,11 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
     predictor.embed(np.zeros((WARMUP_SAMPLES, 3, size, size),
                              dtype=np.float32))
     engine = predictor.backbone_engine
+    checks = []
+    for _ in range(ENGINE_CHECKS):
+        started = time.perf_counter()
+        predictor.backbone_engine
+        checks.append(time.perf_counter() - started)
     plan = engine.plan
     memory_plan = engine.memory_plan
     peak = memory_plan.peak_bytes(engine.micro_batch)
@@ -117,6 +126,7 @@ def plan_stats(backbone: str = DEFAULT_BACKBONE,
         "micro_batch": engine.micro_batch,
         "num_threads": engine.num_threads,
         "compile_cold_ms": round(compile_cold_ms, 2),
+        "engine_check_us": round(min(checks) * 1e6, 2),
         "native_kernels": native_kernels,
     }
     for fusion, count in sorted(plan.pass_stats.items()):

@@ -12,15 +12,15 @@ FCR projection reads its weights from the live module, so in-place
 fine-tuning needs no recompilation either.  Only backbone weights are frozen
 into the plan (they are frozen in the deployment configuration anyway).
 
-Each engine is compiled once and kept for as long as its staleness
-signature (weight and buffer array identities, hook counts, int8 quantizer
-thresholds, collected in one walk of the module tree) is unchanged; a
-rebound weight or buffer, a replaced submodule or a changed hook recompiles
-it on the next access, and :meth:`refresh` drops both engines after
-in-place mutation.
-The raw compiled plan goes straight to
-:class:`~repro.runtime.engine.InferenceEngine`, the one place plans are
-optimized.
+Each engine is compiled once and kept while its staleness signature (weight
+and buffer identities, hook counts, int8 thresholds) holds.  One walk of
+the module tree collects it, and reruns only after
+``Module.structure_epoch`` moves; between walks an access compares the
+parameters' ``data`` identities, which optimizer steps, weight quantization
+and ``load_state_dict`` rebind, and the int8 thresholds.  :meth:`refresh`
+drops both engines after in-place mutation.  The raw compiled plan goes
+straight to :class:`~repro.runtime.engine.InferenceEngine`, the one place
+plans are optimized.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from ..nn.modules import Module
 from ..obs.planprof import PlanProfiler
 from .compiler import MODES, compile_backbone, compile_module
 from .engine import DEFAULT_MICRO_BATCH, InferenceEngine
@@ -39,6 +40,8 @@ from .kernels import (
     normalize_prototypes,
     quantize_unit_rows,
 )
+
+_data = operator.attrgetter("data")
 
 
 class BatchedPredictor:
@@ -66,10 +69,9 @@ class BatchedPredictor:
         #: One profiler shared by backbone and FCR plans (``profile=True``),
         #: so ``plan_stats --profile`` reads both from a single table.
         self.profiler = PlanProfiler(registry=registry) if profile else None
-        self._backbone_engine: Optional[InferenceEngine] = None
-        self._backbone_state: Optional[tuple] = None
-        self._fcr_engine: Optional[InferenceEngine] = None
-        self._fcr_state: Optional[tuple] = None
+        #: ``"backbone"``/``"fcr"`` -> (engine, module, structure epoch read
+        #: before the walk, ``(objects, values)``, parameters, quantizers).
+        self._engines: Dict[str, tuple] = {}
         # (memory version, class-id selection) -> (normalised matrix, ids)
         self._proto_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -82,107 +84,106 @@ class BatchedPredictor:
     # ------------------------------------------------------------------
     # Engines
     # ------------------------------------------------------------------
-    def _staleness(self, module, arrays: bool, buffers: bool) -> tuple:
-        """``(objects, values)`` a compiled plan of ``module`` depends on.
+    def _walk(self, module, arrays: bool, buffers: bool) -> tuple:
+        """``(objects, values)`` a compiled plan of ``module`` depends on,
+        then the parameters and quantizer hooks they were read from.
 
-        One iterative walk over ``_parameters``, ``_buffers``,
-        ``_forward_hooks`` and ``_modules`` collects:
-
-        * ``objects``, compared by identity: with ``arrays``, every
-          parameter's ``data`` (and with ``buffers`` every buffer) — all
-          weight mutations in the codebase rebind ``param.data`` (optimizer
-          steps, weight quantization) or a buffer (``update_buffer``), so
-          identities detect staleness without touching the values;
-        * ``values``, compared by equality: the forward-hook count (hooks
-          flip layers between fused and opaque lowering) and, in int8 mode,
-          the activation quantizers' ``(mode, threshold)`` and the input
-          quantizer's threshold, which the int8 lowering bakes into the
-          plan.
+        ``objects`` are compared by identity: with ``arrays`` every
+        parameter's ``data`` and with ``buffers`` every buffer, since every
+        weight mutation in the codebase rebinds one (optimizer steps, weight
+        quantization, ``update_buffer``).  ``values`` are compared by
+        equality: the forward-hook count (hooks flip layers between fused
+        and opaque lowering) and the int8 :meth:`_settings`, which the int8
+        lowering bakes into the plan.
         """
         int8 = self.mode == "int8"
         if int8:
-            # Imported here: the quantization package is heavy, and only an
-            # int8 model (which it built) has activation quantizers.
+            # Imported here: only int8 needs the heavy quantization package.
             from ..quant.activation_quant import ActivationQuantizer
-        objects: list = []
-        quantizers: list = []
-        hooks = 0
+        parameters, buffer_arrays, quantizers, hooks = [], [], [], 0
         stack = [module]
         while stack:
             sub = stack.pop()
             if arrays:
-                objects.extend([parameter.data for parameter
-                                in sub._parameters.values()])
+                parameters.extend(sub._parameters.values())
                 if buffers:
-                    objects.extend(sub._buffers.values())
+                    buffer_arrays.extend(sub._buffers.values())
             if sub._forward_hooks:
                 hooks += len(sub._forward_hooks)
                 if int8:
                     quantizers.extend(
-                        (hook.mode, None if hook.quantizer is None
-                         else hook.quantizer.threshold)
-                        for hook in sub._forward_hooks
+                        hook for hook in sub._forward_hooks
                         if isinstance(hook, ActivationQuantizer))
             stack.extend(reversed(sub._modules.values()))
-        if int8:
-            quantizer = getattr(module, "input_quantizer", None)
-            if quantizer is not None:
-                quantizers.append(("input", quantizer.threshold))
-        return objects, (hooks, tuple(quantizers))
+        return (list(map(_data, parameters)) + buffer_arrays,
+                (hooks, self._settings(quantizers, module)),
+                tuple(parameters), tuple(quantizers))
+
+    def _settings(self, quantizers, module) -> tuple:
+        """Int8: each hook's ``(mode, threshold)``, then the input's."""
+        if self.mode != "int8":
+            return ()
+        settings = [(hook.mode, None if hook.quantizer is None
+                     else hook.quantizer.threshold) for hook in quantizers]
+        quantizer = getattr(module, "input_quantizer", None)
+        if quantizer is not None:
+            settings.append(("input", quantizer.threshold))
+        return tuple(settings)
+
+    def _staleness(self, module, arrays: bool, buffers: bool) -> tuple:
+        """The ``(objects, values)`` of :meth:`_walk`."""
+        return self._walk(module, arrays, buffers)[:2]
 
     @staticmethod
     def _stale(new: tuple, old: Optional[tuple]) -> bool:
         """Whether two :meth:`_staleness` results differ."""
-        return old is None or new[1] != old[1] \
-            or len(new[0]) != len(old[0]) \
+        return old is None or new[1] != old[1] or len(new[0]) != len(old[0]) \
             or any(map(operator.is_not, new[0], old[0]))
+
+    def _engine(self, name: str, module: Module) -> InferenceEngine:
+        """The engine of ``model.<name>``, compiled again when stale."""
+        cached = self._engines.get(name)
+        if cached is not None:
+            # While the structure epoch holds, only the ``data`` identities
+            # and the int8 settings can have moved.
+            engine, seen, epoch, state, parameters, quantizers = cached
+            if seen is module and epoch == Module.structure_epoch \
+                    and all(map(operator.is_, map(_data, parameters),
+                                state[0])) \
+                    and self._settings(quantizers, module) == state[1][1]:
+                return engine
+        epoch = Module.structure_epoch
+        backbone = name == "backbone"
+        # The int8 lowering freezes every weight; the float FCR's ``linear``
+        # step reads them from the live module, so only its hooks matter.
+        *state, parameters, quantizers = self._walk(
+            module, arrays=backbone or self.mode == "int8", buffers=backbone)
+        if cached is None or seen is not module \
+                or self._stale(state, cached[3]):
+            engine = InferenceEngine(
+                compile_backbone(module, mode=self.mode) if backbone
+                else compile_module(module, name, mode=self.mode),
+                micro_batch=self.micro_batch if backbone
+                else max(self.micro_batch, 512),
+                num_threads=self.num_threads, registry=self.registry,
+                metrics_prefix=f"engine.{name}", profiler=self.profiler)
+        self._engines[name] = (engine, module, epoch, state, parameters,
+                               quantizers)
+        return engine
 
     @property
     def backbone_engine(self) -> InferenceEngine:
-        state = self._staleness(self.model.backbone, arrays=True,
-                                buffers=True)
-        if self._backbone_engine is None or \
-                self._stale(state, self._backbone_state):
-            self._backbone_engine = InferenceEngine(
-                compile_backbone(self.model.backbone, mode=self.mode),
-                micro_batch=self.micro_batch, num_threads=self.num_threads,
-                registry=self.registry,
-                metrics_prefix="engine.backbone", profiler=self.profiler)
-            self._backbone_state = state
-        return self._backbone_engine
+        return self._engine("backbone", self.model.backbone)
 
     @property
     def fcr_engine(self) -> InferenceEngine:
-        # In float mode the ``linear`` step reads weights from the live
-        # module, so only hooks matter, but the plan is bound to that module
-        # object: it joins the signature so replacing ``model.fcr``
-        # recompiles.  The int8 lowering freezes the quantized weights.
-        fcr = self.model.fcr
-        state = self._staleness(fcr, arrays=self.mode == "int8",
-                                buffers=False)
-        if self.mode != "int8":
-            state[0].append(fcr)
-        if self._fcr_engine is None or \
-                self._stale(state, self._fcr_state):
-            self._fcr_engine = InferenceEngine(
-                compile_module(self.model.fcr, "fcr", mode=self.mode),
-                micro_batch=max(self.micro_batch, 512),
-                num_threads=self.num_threads, registry=self.registry,
-                metrics_prefix="engine.fcr", profiler=self.profiler)
-            self._fcr_state = state
-        return self._fcr_engine
+        return self._engine("fcr", self.model.fcr)
 
     def refresh(self) -> None:
-        """Drop compiled plans and caches.
-
-        Weight rebinds and hook changes are detected automatically; calling
-        this is only needed after mutating arrays *in place* (``data[...] =``),
-        which nothing in the codebase currently does.
-        """
-        self._backbone_engine = None
-        self._backbone_state = None
-        self._fcr_engine = None
-        self._fcr_state = None
+        """Drop compiled plans and caches: needed only after an in-place
+        write to an array (``data[...] =``), which nothing in the codebase
+        does.  Rebinds and ``Module`` method changes are detected anyway."""
+        self._engines.clear()
         self._proto_cache.clear()
 
     # ------------------------------------------------------------------
@@ -227,8 +228,7 @@ class BatchedPredictor:
         key = (memory.version, selection)
         cached = self._proto_cache.get(key)
         if cached is None:
-            matrix, ids = memory.prototype_matrix(
-                selection if selection is not None else None)
+            matrix, ids = memory.prototype_matrix(selection)
             matrix = normalize_prototypes(matrix)
             codes = quantize_unit_rows(matrix) if self.mode == "int8" else None
             cached = (matrix, ids, codes)
@@ -293,8 +293,8 @@ class BatchedPredictor:
     # ------------------------------------------------------------------
     @property
     def samples_served(self) -> int:
-        engine = self._backbone_engine
-        return engine.samples_run if engine is not None else 0
+        cached = self._engines.get("backbone")
+        return cached[0].samples_run if cached is not None else 0
 
     def runtime_stats(self) -> dict:
         """Execution-resource counters of the compiled engines.
@@ -303,9 +303,7 @@ class BatchedPredictor:
         micro-batch (0 until the first batch has been served);
         ``cache_bytes`` sums every scratch/arena buffer currently cached.
         """
-        engines = [engine for engine in (self._backbone_engine,
-                                         self._fcr_engine)
-                   if engine is not None]
+        engines = [cached[0] for cached in self._engines.values()]
         stats = {
             "cache_bytes": sum(engine.cache_bytes for engine in engines),
             "arena_slots": sum(engine.arena_slots for engine in engines),

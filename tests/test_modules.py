@@ -71,6 +71,14 @@ class TestModuleInfrastructure:
         net_a.eval()
         net_b.eval()
         np.testing.assert_allclose(net_a(x).data, net_b(x).data, rtol=1e-6)
+        # The loaded module owns copies: editing the dict afterwards changes
+        # no weight or buffer (an in-place edit no staleness check can see).
+        expected = net_b(x).data
+        for array in state.values():
+            array[...] = 0
+        for name, param in net_b.named_parameters():
+            assert not np.shares_memory(param.data, state[name])
+        np.testing.assert_array_equal(net_b(x).data, expected)
 
     def test_state_dict_contains_buffers(self):
         net = small_net()

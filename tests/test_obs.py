@@ -450,18 +450,17 @@ class TestTracePropagation:
                            watchdog_interval_s=0.05,
                            tracer=tracer) as engine:
             victim = engine._table.workers[0].process
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)             # the corpse is real ...
-            assert not victim.is_alive()
-            # ... but not yet detected: enqueue a traced item at it before
-            # the watchdog's next poll can mark the shard dead.
+            # A stopped worker is alive and routable (hang detection is off
+            # by default), so the traced item is pending on it for sure
+            # before the kill.
+            os.kill(victim.pid, signal.SIGSTOP)
             ctx = ("t" * 16, "s" * 16)
-            try:
-                future = engine.submit(
-                    "backbone", np.zeros((4, *IMAGE_SHAPE), np.float32),
-                    worker=0, trace_ctx=ctx)
-            except RemoteWorkerError:
-                pytest.skip("watchdog won the race before the submit")
+            future = engine.submit(
+                "backbone", np.zeros((4, *IMAGE_SHAPE), np.float32),
+                worker=0, trace_ctx=ctx)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
             with pytest.raises(RemoteWorkerError):
                 future.result(timeout=30)
             deadline = time.monotonic() + 10

@@ -5,13 +5,17 @@ match NumPy bit for bit.
 to NumPy when it cannot.  A silent fallback would hide a broken build behind
 slower kernels, so a host with a C compiler must load the library.  The
 depthwise kernels are checked in ``tests/test_runtime_depthwise.py``; this
-file checks the two GEMM epilogues on random int32 accumulators.
+file checks the three GEMM epilogues: the int8 ones on random int32
+accumulators, the float32 bias + activation on GEMM outputs holding NaN,
+infinities and signed zeros, and that every registry float32 conv binds it.
 """
 
 import numpy as np
 import pytest
 
-from repro.runtime import kernels, native
+from repro.core import OFSCIL, OFSCILConfig
+from repro.models import get_config, list_configs
+from repro.runtime import BatchedPredictor, kernels, native
 
 
 def test_c_kernels_load_when_a_compiler_is_on_path():
@@ -117,3 +121,67 @@ def test_wrappers_refuse_arrays_they_cannot_pass_to_c(rng, c_kernels):
                                  np.empty((2, 8, 3), np.int8)[:, :3, :])
     assert not native.requantize(acc, bias_q.astype(np.int64), multiplier,
                                  -127, 127, out)
+
+
+#: (n, c, spatial) GEMM outputs: spatial sizes of 1 and odd tails of the
+#: vectorized plane loops, plus three conv shapes of the benchmark backbone.
+EPILOGUE_SHAPES = [(1, 8, 1), (5, 3, 1), (1, 4, 7), (3, 5, 9), (2, 6, 13),
+                   (1, 3, 33), (1, 16, 256), (1, 64, 16), (5, 32, 64)]
+
+
+def _bits(array):
+    return array.view(np.uint32)
+
+
+@pytest.mark.parametrize("shape", EPILOGUE_SHAPES, ids=str)
+def test_c_conv_epilogue_keeps_special_values(shape, c_kernels):
+    """NaN where NumPy has NaN, and every other bit NumPy's.
+
+    The GEMM output holds NaN, +-inf, +-0.0 and values past 6, and channel
+    0 is -0.0 against a -0.0 bias, so both signed zeros reach the
+    activations.  NaN payloads are not pinned, as for the depthwise kernels.
+    """
+    n, c, spatial = shape
+    rng = np.random.default_rng(n * 1000 + c * 10 + spatial)
+    gemm = (4 * rng.standard_normal(shape)).astype(np.float32)
+    gemm[:, 0] = -0.0
+    special = rng.random(shape) < 0.2
+    gemm[special] = rng.choice(np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 6.0], dtype=np.float32),
+        special.sum())
+    bias = rng.standard_normal(c).astype(np.float32)
+    bias[0] = -0.0
+    for b in (None, bias):
+        for act in kernels.ACTIVATIONS:
+            expected = gemm.copy()
+            kernels.conv_epilogue(expected, b, act)
+            actual = gemm.copy()
+            assert native.bias_act_f32(actual, b, act)
+            label = f"bias={b is not None} act={act}"
+            nan = np.isnan(expected)
+            np.testing.assert_array_equal(np.isnan(actual), nan,
+                                          err_msg=label)
+            np.testing.assert_array_equal(_bits(actual)[~nan],
+                                          _bits(expected)[~nan],
+                                          err_msg=label)
+
+
+def _numpy_epilogue(*args, **kwargs):
+    raise AssertionError("a float32 GEMM conv step bound the NumPy epilogue")
+
+
+@pytest.mark.parametrize("backbone", list_configs())
+def test_every_registry_gemm_conv_step_binds_the_c_epilogue(backbone,
+                                                           c_kernels,
+                                                           monkeypatch):
+    # With the library loaded, no float32 conv step of a registry backbone
+    # runs its bias + activation in NumPy without notice.
+    model = OFSCIL.from_registry(backbone, OFSCILConfig(backbone=backbone),
+                                 seed=0)
+    monkeypatch.setattr(kernels, "conv_epilogue", _numpy_epilogue)
+    predictor = BatchedPredictor(model, mode="float32")
+    size = get_config(backbone).input_size
+    rng = np.random.default_rng(0)
+    for batch in (1, 5):
+        images = rng.standard_normal((batch, 3, size, size))
+        predictor.embed(images.astype(np.float32))
