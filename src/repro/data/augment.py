@@ -2,7 +2,9 @@
 
 The paper uses "traditional" augmentation (blur, horizontal flip, crop and
 resize) during pretraining, on top of the Mixup/CutMix feature interpolation
-implemented in :mod:`repro.data.mixup`.
+implemented in :mod:`repro.data.mixup`.  The two functions that filter or
+resize import :mod:`scipy.ndimage` when they run, so importing the package
+(every process that uses :mod:`repro` does) does not load SciPy.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 
 def random_horizontal_flip(images: np.ndarray, rng: np.random.Generator,
@@ -41,6 +42,8 @@ def gaussian_blur(images: np.ndarray, rng: np.random.Generator,
                   probability: float = 0.2, sigma_range: Tuple[float, float] = (0.3, 1.0)
                   ) -> np.ndarray:
     """Blur a random subset of images with a Gaussian kernel."""
+    from scipy import ndimage
+
     out = images.copy()
     for index in range(len(images)):
         if rng.random() < probability:
@@ -52,6 +55,8 @@ def gaussian_blur(images: np.ndarray, rng: np.random.Generator,
 def random_resized_crop(images: np.ndarray, rng: np.random.Generator,
                         scale: Tuple[float, float] = (0.6, 1.0)) -> np.ndarray:
     """Crop a random sub-window and resize it back to the original size."""
+    from scipy import ndimage
+
     n, c, h, w = images.shape
     out = np.empty_like(images)
     for index in range(n):

@@ -44,9 +44,11 @@ class Module:
     #: updating a buffer, and adding or removing a forward hook.  A cache of
     #: a walk over the tree (:class:`~repro.runtime.BatchedPredictor`'s
     #: engines) stays valid while the epoch it read before walking is
-    #: current.  Structure must change through these methods: a direct
-    #: write to ``_parameters``, ``_buffers``, ``_modules`` or
-    #: ``_forward_hooks`` leaves the epoch, and such caches, behind.
+    #: current.  Setting another kind of value on a name that held a
+    #: parameter or a module unregisters it and also moves the epoch.
+    #: Structure must change through these methods: a direct write to
+    #: ``_parameters``, ``_buffers``, ``_modules`` or ``_forward_hooks``
+    #: leaves the epoch, and such caches, behind.
     structure_epoch = 0
 
     def __init__(self):
@@ -63,11 +65,21 @@ class Module:
         elif isinstance(value, Module):
             registry = "_modules"
         else:
-            object.__setattr__(self, name, value)
-            return
-        self.__dict__.setdefault(registry, OrderedDict())[name] = value
+            registry = None
+        # A name leaves the registry whose kind its new value is not, so
+        # ``lin.bias = None`` drops the bias from ``parameters()`` and
+        # ``state_dict()``.
+        dropped = False
+        for other in ("_parameters", "_modules"):
+            entries = self.__dict__.get(other)
+            if other != registry and entries is not None and name in entries:
+                del entries[name]
+                dropped = True
+        if registry is not None:
+            self.__dict__.setdefault(registry, OrderedDict())[name] = value
         object.__setattr__(self, name, value)
-        _bump()
+        if registry is not None or dropped:
+            _bump()
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-trainable array that is part of the module state."""

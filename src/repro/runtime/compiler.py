@@ -6,7 +6,9 @@ the architectures used by the reproduction are static) and emits one
 
 * ``Conv2d -> BatchNorm2d -> ReLU/ReLU6`` chains collapse into a single
   ``conv`` step whose weights have the batch-norm scale folded in and whose
-  activation is applied in place on the GEMM output;
+  activation is applied in place on the GEMM output (a ``ConvBNReLU``
+  fuses the activation its ``act`` child is, see
+  :data:`FUSED_ACTIVATIONS`);
 * ``Linear`` layers become ``linear`` steps that read their weights from the
   live module at execution time, so in-place fine-tuning needs no recompile;
 * residual additions become explicit ``add`` steps over named registers;
@@ -67,6 +69,12 @@ from .plan import InferencePlan, Step
 
 #: Compilation modes understood by :func:`compile_module`.
 MODES = ("float32", "int8")
+
+#: Activation module types a ``ConvBNReLU`` fuses into its conv, matched by
+#: exact type, and the fused activation each one is.  Any other ``act``
+#: child runs after the conv on its own (float32) or keeps the block opaque
+#: (int8).
+FUSED_ACTIVATIONS = {ReLU6: "relu6", ReLU: "relu", Identity: None}
 
 
 class Int8CompilationError(RuntimeError):
@@ -169,8 +177,12 @@ def _lower(builder: PlanBuilder, module: Module, name: str, x: str) -> str:
         return builder.emit("opaque", name, (x,), module=module, hint="opq")
 
     if isinstance(module, ConvBNReLU):
-        return _lower_conv_bn_act(builder, name, x, module.conv, module.bn,
-                                  "relu6")
+        act = type(module.act)
+        if act in FUSED_ACTIVATIONS:
+            return _lower_conv_bn_act(builder, name, x, module.conv, module.bn,
+                                      FUSED_ACTIVATIONS[act])
+        out = _lower_conv_bn_act(builder, name, x, module.conv, module.bn, None)
+        return _lower(builder, module.act, f"{name}.act", out)
     if isinstance(module, InvertedResidual):
         return _lower_inverted_residual(builder, module, name, x)
     if isinstance(module, ResNet12Block):
@@ -504,11 +516,14 @@ def _lower_linear_int8(builder: _Int8Builder, linear: Linear, name: str,
 
 def _lower_conv_bn_act_int8(builder: _Int8Builder, module: ConvBNReLU,
                             name: str, x: str) -> str:
+    act = type(module.act)
+    if act not in FUSED_ACTIVATIONS:
+        return _emit_opaque_int8(builder, module, name, x)
     act_scale, act_clean = _hook_state(module.act)
     if not act_clean or not _modules_hook_free(module.conv, module.bn):
         return _emit_opaque_int8(builder, module, name, x)
-    return _emit_conv_int8(builder, name, x, module.conv, module.bn, "relu6",
-                           act_scale)
+    return _emit_conv_int8(builder, name, x, module.conv, module.bn,
+                           FUSED_ACTIVATIONS[act], act_scale)
 
 
 def _lower_inverted_residual_int8(builder: _Int8Builder,

@@ -14,9 +14,10 @@ wrappers, no autograd bookkeeping.  Four ideas keep them fast:
 * **batched GEMM** — dense and pointwise convolutions are expressed as
   ``matmul`` over the whole micro-batch, hitting BLAS instead of Python
   loops;
-* **C where NumPy is slow** — the depthwise tap loop and the epilogues
+* **C where NumPy is slow** — the depthwise tap loop, the epilogues
   after the conv GEMMs (float32 bias + activation, int8
-  requantize/dequantize) run in the C kernels of
+  requantize/dequantize) and the float32 global average pool (summed in
+  NumPy's pairwise order) run in the C kernels of
   :mod:`repro.runtime.native` when that library loads.  The NumPy code
   beside each call is the fallback and the reference: both give the same
   bits.
@@ -460,8 +461,25 @@ def batchnorm_inference(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
 
 def global_avg_pool(x: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Global average pooling of NCHW down to (N, C)."""
+    """Global average pooling of NCHW down to (N, C): the NumPy fallback of
+    the C ``global_pool_f32`` kernel, and its tests' oracle."""
     return x.mean(axis=(2, 3), out=out)
+
+
+def bind_global_avg_pool(x: np.ndarray,
+                         out: Optional[np.ndarray] = None) -> Callable:
+    """Bind :func:`global_avg_pool` for ``x``'s shape; returns ``call(x)``."""
+    destination, (result0, _) = _destination(out, x.shape[:2], x.shape[:2],
+                                             np.float32)
+    kernel = native.bind_global_pool_f32(x, result0)
+    if kernel is None:
+        return lambda x: global_avg_pool(x, out=out)
+
+    def call(x):
+        result, _ = destination()
+        kernel(x, result)
+        return result
+    return call
 
 
 def max_pool(x: np.ndarray, kernel_size: int, stride: int,

@@ -1,13 +1,14 @@
 /* Native kernels of the batched inference runtime.
  *
- * Five kernels, loaded through ctypes by native.py:
+ * Six kernels, loaded through ctypes by native.py:
  *
- *   depthwise_f32  float32 depthwise conv + bias + activation;
- *   depthwise_s8   int8 depthwise conv, exact accumulation, then the
- *                  requantization epilogue;
- *   bias_act_f32   the float32 epilogue after a BLAS conv GEMM;
- *   requantize     the int8 epilogue after a BLAS conv GEMM;
- *   dequantize     the float epilogue after an int8 BLAS conv GEMM.
+ *   depthwise_f32    float32 depthwise conv + bias + activation;
+ *   depthwise_s8     int8 depthwise conv, exact accumulation, then the
+ *                    requantization epilogue;
+ *   bias_act_f32     the float32 epilogue after a BLAS conv GEMM;
+ *   requantize       the int8 epilogue after a BLAS conv GEMM;
+ *   dequantize       the float epilogue after an int8 BLAS conv GEMM;
+ *   global_pool_f32  the float32 global average pool.
  *
  * Each one replays the per-element arithmetic of the NumPy kernel it stands
  * in for (repro/runtime/kernels.py), so its output is bit-identical.  That
@@ -21,9 +22,20 @@
  * (h + 2 * pad) * (w + 2 * pad) zero-haloed input plane, then the kh * kw
  * weights and the oh * ow accumulator plane of the int8 kernel.  They
  * rewrite all they use on every call.
+ *
+ * Where the compiler targets SSE2 (__SSE2__, the x86-64 baseline, so the
+ * build needs no -march flag), three float32 paths run as 4-lane vectors:
+ * the 3x3, stride-1, pad-1 depthwise conv of a 4x4 plane as a register
+ * tile, with no haloed copy; the bias + activation epilogue as one pass
+ * over planes whose length is a multiple of 4; and the 8 accumulators of
+ * the pool's pairwise sum.  The vectors do the scalar code's operations in
+ * its order, and the portable loops beside them run everywhere else.
  */
 #include <stdint.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 enum { ACT_NONE = 0, ACT_RELU = 1, ACT_RELU6 = 2 };
 
@@ -56,10 +68,51 @@ static inline int8_t requantize_one(float a, double multiplier, double qmin,
     return (int8_t)(int32_t)v;
 }
 
+#ifdef __SSE2__
+/* relu() and relu6() on four lanes; the zeros they write are +0.0. */
+static inline __m128 relu_x4(__m128 v)
+{
+    __m128 keep = _mm_or_ps(_mm_cmpgt_ps(v, _mm_setzero_ps()),
+                            _mm_cmpunord_ps(v, v));
+    return _mm_and_ps(keep, v);
+}
+
+static inline __m128 relu6_x4(__m128 v)
+{
+    __m128 six = _mm_set1_ps(6.0f);
+    v = _mm_andnot_ps(_mm_cmplt_ps(v, _mm_setzero_ps()), v);
+    __m128 over = _mm_cmpgt_ps(v, six);
+    return _mm_or_ps(_mm_andnot_ps(over, v), _mm_and_ps(over, six));
+}
+
+/* bias_act() on four lanes: + b unless bias is NULL, then the activation. */
+static inline __m128 bias_act_x4(__m128 v, const float *bias, __m128 b,
+                                 long act)
+{
+    if (bias)
+        v = _mm_add_ps(v, b);
+    if (act == ACT_RELU)
+        return relu_x4(v);
+    if (act == ACT_RELU6)
+        return relu6_x4(v);
+    return v;
+}
+#endif
+
 /* + bias, then the activation, over `size` floats of one channel:
- * fused_conv's epilogue.  bias points at the channel's bias, or is NULL. */
+ * fused_conv's epilogue.  bias points at the channel's bias, or is NULL.
+ * With SSE2, a plane of whole vectors takes both in one pass. */
 static void bias_act(float *o, long size, const float *bias, long act)
 {
+#ifdef __SSE2__
+    if (size % 4 == 0) {
+        __m128 b = _mm_set1_ps(bias ? *bias : 0.0f);
+        for (long s = 0; s < size; s += 4)
+            _mm_storeu_ps(o + s, bias_act_x4(_mm_loadu_ps(o + s), bias, b,
+                                             act));
+        return;
+    }
+#endif
     if (bias) {
         float b = *bias;
         for (long s = 0; s < size; s++)
@@ -118,11 +171,62 @@ static void sum_taps(const float *xp, const float *wc, float *o, long wp,
         plane(xp, wc, o, wp, oh, ow, kh, kw, stride);
 }
 
+#ifdef __SSE2__
+/* Lane i of the result holds lane i - 1 of v (from_left) or lane i + 1
+ * (from_right), with a +0.0 shifted in: a row's left and right taps, and
+ * the zero halo at its ends. */
+static inline __m128 from_left(__m128 v)
+{
+    return _mm_castsi128_ps(_mm_slli_si128(_mm_castps_si128(v), 4));
+}
+
+static inline __m128 from_right(__m128 v)
+{
+    return _mm_castsi128_ps(_mm_srli_si128(_mm_castps_si128(v), 4));
+}
+
+/* The taps of column offset t % 3 of a padded row r. */
+static inline __m128 taps(__m128 r, int t)
+{
+    return t % 3 == 0 ? from_left(r) : t % 3 == 1 ? r : from_right(r);
+}
+
+/* plane() and bias_act() of a 3x3, stride-1, pad-1 conv of one 4x4 plane,
+ * one output row per vector.  The rows above and below the plane are zero
+ * vectors, so every halo tap multiplies a +0.0 as in the haloed copy, and
+ * the taps are summed in plane()'s order. */
+static inline void tile_4x4(const float *x, const float *wc, float *o,
+                            const float *bias, long act)
+{
+    __m128 w[9], rows[6];
+    for (int t = 0; t < 9; t++)
+        w[t] = _mm_set1_ps(wc[t]);
+    __m128 b = _mm_set1_ps(bias ? *bias : 0.0f);
+    rows[0] = rows[5] = _mm_setzero_ps();
+    for (int y = 0; y < 4; y++)
+        rows[y + 1] = _mm_loadu_ps(x + 4 * y);
+    for (int y = 0; y < 4; y++) {
+        __m128 a = _mm_mul_ps(taps(rows[y], 0), w[0]);
+        for (int t = 1; t < 9; t++)
+            a = _mm_add_ps(a, _mm_mul_ps(taps(rows[y + t / 3], t), w[t]));
+        _mm_storeu_ps(o + 4 * y, bias_act_x4(a, bias, b, act));
+    }
+}
+#endif
+
 /* x (n, c, h, w), w (c, 1, kh, kw), bias (c) or NULL, out (n, c, oh, ow). */
 void depthwise_f32(const float *x, const float *w, const float *bias,
                    float *out, float *scratch, long n, long c, long h,
                    long wd, long kh, long kw, long stride, long pad, long act)
 {
+#ifdef __SSE2__
+    if (h == 4 && wd == 4 && kh == 3 && kw == 3 && stride == 1 && pad == 1) {
+        for (long p = 0; p < n * c; p++)
+            tile_4x4(x + p * 16, w + p % c * 9, out + p * 16,
+                     bias ? bias + p % c : NULL, act);
+        return;
+    }
+#endif
     long hp = h + 2 * pad, wp = wd + 2 * pad;
     long oh = (hp - kh) / stride + 1, ow = (wp - kw) / stride + 1;
     memset(scratch, 0, sizeof(float) * hp * wp);
@@ -201,4 +305,63 @@ void dequantize(const float *acc, const double *dequant, const float *bias,
             o[s] = (float)((double)a[s] * d);
         bias_act(o, spatial, bias ? bias + p % c : NULL, act);
     }
+}
+
+/* NumPy's pairwise float32 sum of a[0..n), as its add.reduce runs it along
+ * a contiguous axis: fewer than 8 elements in order; up to 128 in 8
+ * accumulators, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+ * r7)), then the elements past the last whole 8 in order; more than 128 as
+ * the sums of two halves split at a multiple of 8. */
+static float pairwise_sum(const float *a, long n)
+{
+    if (n < 8) {
+        float s = 0.0f;
+        for (long i = 0; i < n; i++)
+            s = s + a[i];
+        return s;
+    }
+    if (n > 128) {
+        long half = n / 2 - n / 2 % 8;
+        return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+    }
+    long i = 8;
+    float s;
+#ifdef __SSE2__
+    __m128 lo = _mm_loadu_ps(a), hi = _mm_loadu_ps(a + 4);
+    for (; i + 8 <= n; i += 8) {
+        lo = _mm_add_ps(lo, _mm_loadu_ps(a + i));
+        hi = _mm_add_ps(hi, _mm_loadu_ps(a + i + 4));
+    }
+    /* (r0 + r1, r2 + r3, r4 + r5, r6 + r7), then its two pair sums. */
+    __m128 pairs = _mm_add_ps(_mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)),
+                              _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1)));
+    __m128 halves = _mm_add_ps(
+        _mm_shuffle_ps(pairs, pairs, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm_shuffle_ps(pairs, pairs, _MM_SHUFFLE(3, 1, 3, 1)));
+    s = _mm_cvtss_f32(halves)
+        + _mm_cvtss_f32(_mm_shuffle_ps(halves, halves, _MM_SHUFFLE(1, 1, 1, 1)));
+#else
+    float r[8];
+    for (int j = 0; j < 8; j++)
+        r[j] = a[j];
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] = r[j] + a[i + j];
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+#endif
+    for (; i < n; i++)
+        s = s + a[i];
+    return s;
+}
+
+/* x (planes, spatial) float32, out (planes) float32: x.mean(axis=(2, 3))
+ * of an (n, c, h, w) array, planes = n * c and spatial = h * w.  NumPy
+ * adds the pairwise sum to the reduction's initial 0.0 (so a sum of -0.0
+ * reads +0.0), then divides by the element count in double. */
+void global_pool_f32(const float *x, float *out, long planes, long spatial)
+{
+    for (long p = 0; p < planes; p++)
+        out[p] = (float)((double)(0.0f + pairwise_sum(x + p * spatial,
+                                                      spatial))
+                         / (double)spatial);
 }

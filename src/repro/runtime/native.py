@@ -1,17 +1,26 @@
-"""C kernels for the depthwise tap loop and the conv epilogues.
+"""C kernels for the depthwise tap loop, the conv epilogues and the pool.
 
-``native.c`` holds five kernels that :mod:`repro.runtime.kernels` calls
-when the library is loaded: the float32 depthwise conv with its bias +
-activation epilogue, the int8 depthwise ``qconv`` (exact integer
-accumulation, then requantization), the bias + activation epilogue that
-follows the BLAS GEMM of ``fused_conv``, and the requantize and dequantize
-epilogues that follow the BLAS GEMM of ``fused_qconv`` and
-``fused_qconv_dequant``.  Each replays the per-element arithmetic of the
-NumPy code it replaces, so no float32 or int8 bit moves.  The int8 taps
-accumulate in float32 lanes: every partial sum is an integer below 2**24
-(the caller checks the accumulator bound), so the sum is the exact int32
-one.  On the baseline x86-64 ISA (SSE2) that measured about twice as fast
-as widening the int8 products into int32 lanes.
+``native.c`` holds six kernels that :mod:`repro.runtime.kernels` and
+:mod:`repro.runtime.plan` call when the library is loaded: the float32
+depthwise conv with its bias + activation epilogue, the int8 depthwise
+``qconv`` (exact integer accumulation, then requantization), the bias +
+activation epilogue that follows the BLAS GEMM of ``fused_conv``, the
+requantize and dequantize epilogues that follow the BLAS GEMM of
+``fused_qconv`` and ``fused_qconv_dequant``, and the float32 global average
+pool.  Each replays the per-element arithmetic of the NumPy code it
+replaces, so no float32 or int8 bit moves; the pool sums each plane in
+NumPy's pairwise order.  The int8 taps accumulate in float32 lanes: every
+partial sum is an integer below 2**24 (the caller checks the accumulator
+bound), so the sum is the exact int32 one.  On the baseline x86-64 ISA
+(SSE2) that measured about twice as fast as widening the int8 products into
+int32 lanes.
+
+Where the compiler defines ``__SSE2__`` (every x86-64 target), three
+float32 paths are written as SSE2 intrinsics: the 3x3, stride-1, pad-1
+depthwise conv of a 4x4 plane as a register tile with no haloed copy, the
+bias + activation epilogue as one pass over planes whose length is a
+multiple of 4, and the pool's 8 accumulators.  The portable loops beside
+them build everywhere else and run every other shape.
 
 The first kernel call in a process compiles ``native.c`` with the host C
 compiler (``cc``) into the per-user cache directory ``~/.cache/repro-native``
@@ -20,8 +29,9 @@ The file name hashes the source, the flags and the compiler version, so an
 edit or a new compiler builds a new library.  :data:`FLAGS` has
 ``-ffp-contract=off`` because gcc otherwise contracts ``a + x * w`` into an
 FMA, which rounds once instead of twice and moves float32 bits; it has no
-``-ffast-math`` (reassociation) and no ``-march=native`` (a cached library
-built with it can fault on another CPU, and it measured no faster).
+``-ffast-math`` (reassociation) and no ``-march`` flag (a cached library
+built with ``-march=native`` can fault on another CPU, and neither it nor
+``-mavx2`` measured faster).
 
 Each kernel has a binder (``bind_depthwise_f32`` and friends) that checks
 the dtype, C-contiguity and size of every array once, works out every
@@ -66,6 +76,7 @@ _SIGNATURES = {
     "bias_act_f32": (2, 4),
     "requantize": (4, 5),
     "dequantize": (4, 4),
+    "global_pool_f32": (2, 2),
 }
 
 _lock = threading.Lock()
@@ -366,6 +377,33 @@ def bind_dequantize(acc: np.ndarray, dequant: np.ndarray,
     return call
 
 
+def bind_global_pool_f32(x: np.ndarray, out: Optional[np.ndarray]
+                         ) -> Optional[Callable]:
+    """Bind the global average pool of a float32 ``(n, c, h, w)`` array.
+
+    Returns ``call(x, out)``, which writes ``x.mean(axis=(2, 3))`` into the
+    float32 ``(n, c)`` array ``out``, or None when C cannot run it.
+    """
+    lib = library()
+    if lib is None or x.ndim != 4:
+        return None
+    n, c, h, w = x.shape
+    x_size = x.size
+    if not (_ok(x, np.float32, x_size)
+            and (out is None or _ok(out, np.float32, n * c))):
+        return None
+    x0, x_address = _operand(x)
+    out0, out_address = _operand(out)
+
+    def call(x, out):
+        lib.global_pool_f32(
+            x_address if x is x0 else _data(x, np.float32, x_size),
+            out_address if out is out0 else _data(out, np.float32, n * c),
+            n * c, h * w)
+
+    return call
+
+
 def _run_once(call: Optional[Callable], *arrays: np.ndarray) -> bool:
     if call is None:
         return False
@@ -408,3 +446,8 @@ def dequantize(acc: np.ndarray, dequant: np.ndarray,
                out: np.ndarray) -> bool:
     """``fused_qconv_dequant``'s epilogue from a float32 GEMM result."""
     return _run_once(bind_dequantize(acc, dequant, bias, act, out), acc, out)
+
+
+def global_pool_f32(x: np.ndarray, out: np.ndarray) -> bool:
+    """Float32 global average pool of ``x`` into ``out``; False if not run."""
+    return _run_once(bind_global_pool_f32(x, out), x, out)

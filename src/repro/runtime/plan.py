@@ -411,7 +411,7 @@ def _bind_act(step, inputs, cache, out, constants):
 
 
 def _bind_global_pool(step, inputs, cache, out, constants):
-    return lambda x: kernels.global_avg_pool(x, out=out)
+    return kernels.bind_global_avg_pool(inputs[0], out)
 
 
 def _bind_flatten(step, inputs, cache, out, constants):

@@ -12,9 +12,9 @@ FCR projection reads its weights from the live module, so in-place
 fine-tuning needs no recompilation either.  Only backbone weights are frozen
 into the plan (they are frozen in the deployment configuration anyway).
 
-Each engine is compiled once and kept while its staleness signature (weight
-and buffer identities, hook counts, int8 thresholds) holds.  One walk of
-the module tree collects it, and reruns only after
+Each engine is compiled once and kept while its staleness signature
+(module, weight and buffer identities, hook counts, int8 thresholds)
+holds.  One walk of the module tree collects it, and reruns only after
 ``Module.structure_epoch`` moves; between walks an access compares the
 parameters' ``data`` identities, which optimizer steps, weight quantization
 and ``load_state_dict`` rebind, and the int8 thresholds.  :meth:`refresh`
@@ -91,19 +91,22 @@ class BatchedPredictor:
         ``objects`` are compared by identity: with ``arrays`` every
         parameter's ``data`` and with ``buffers`` every buffer, since every
         weight mutation in the codebase rebinds one (optimizer steps, weight
-        quantization, ``update_buffer``).  ``values`` are compared by
-        equality: the forward-hook count (hooks flip layers between fused
-        and opaque lowering) and the int8 :meth:`_settings`, which the int8
-        lowering bakes into the plan.
+        quantization, ``update_buffer``), then every module of the tree, so
+        replacing a child without parameters (an activation) recompiles
+        too.  ``values`` are compared by equality: the forward-hook count
+        (hooks flip layers between fused and opaque lowering) and the int8
+        :meth:`_settings`, which the int8 lowering bakes into the plan.
         """
         int8 = self.mode == "int8"
         if int8:
             # Imported here: only int8 needs the heavy quantization package.
             from ..quant.activation_quant import ActivationQuantizer
-        parameters, buffer_arrays, quantizers, hooks = [], [], [], 0
+        parameters, buffer_arrays, modules, quantizers, hooks = \
+            [], [], [], [], 0
         stack = [module]
         while stack:
             sub = stack.pop()
+            modules.append(sub)
             if arrays:
                 parameters.extend(sub._parameters.values())
                 if buffers:
@@ -115,7 +118,7 @@ class BatchedPredictor:
                         hook for hook in sub._forward_hooks
                         if isinstance(hook, ActivationQuantizer))
             stack.extend(reversed(sub._modules.values()))
-        return (list(map(_data, parameters)) + buffer_arrays,
+        return (list(map(_data, parameters)) + buffer_arrays + modules,
                 (hooks, self._settings(quantizers, module)),
                 tuple(parameters), tuple(quantizers))
 
@@ -155,7 +158,8 @@ class BatchedPredictor:
         epoch = Module.structure_epoch
         backbone = name == "backbone"
         # The int8 lowering freezes every weight; the float FCR's ``linear``
-        # step reads them from the live module, so only its hooks matter.
+        # step reads them from the live module, so only its modules and
+        # hooks matter.
         *state, parameters, quantizers = self._walk(
             module, arrays=backbone or self.mode == "int8", buffers=backbone)
         if cached is None or seen is not module \

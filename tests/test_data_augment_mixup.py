@@ -1,5 +1,10 @@
 """Augmentation pipeline and Mixup / CutMix feature interpolation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,27 @@ from repro.data import (
     random_resized_crop,
 )
 from repro.nn.functional import one_hot
+
+
+#: ``src/`` of this checkout, for the subprocess that imports ``repro``.
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_importing_the_packages_does_not_load_scipy():
+    # Only the training-time augmentations use SciPy; a process that
+    # imports repro to serve or evaluate must not pay for loading it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    script = ("import sys\n"
+              "import repro.core, repro.data, repro.runtime, repro.serve\n"
+              "print(sorted(name for name in sys.modules\n"
+              "             if name.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", result.stdout
 
 
 @pytest.fixture()

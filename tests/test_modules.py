@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.modules import Module
 from repro.nn.tensor import Tensor
 
 
@@ -79,6 +80,25 @@ class TestModuleInfrastructure:
         for name, param in net_b.named_parameters():
             assert not np.shares_memory(param.data, state[name])
         np.testing.assert_array_equal(net_b(x).data, expected)
+
+    def test_assigning_another_kind_of_value_unregisters_the_name(self):
+        lin = nn.Linear(3, 2)
+        epoch = Module.structure_epoch
+        lin.bias = None
+        assert lin.bias is None
+        assert list(lin.state_dict()) == ["weight"]
+        assert len(list(lin.parameters())) == 1
+        assert Module.structure_epoch != epoch
+        lin.act = nn.ReLU()
+        epoch = Module.structure_epoch
+        lin.act = "not a module"
+        assert list(dict(lin.named_modules())) == [""]
+        assert lin.act == "not a module"
+        assert Module.structure_epoch != epoch
+        # A plain attribute that was never registered moves nothing.
+        epoch = Module.structure_epoch
+        lin.note = 1
+        assert Module.structure_epoch == epoch
 
     def test_state_dict_contains_buffers(self):
         net = small_net()

@@ -220,6 +220,65 @@ def test_c_depthwise_f32_keeps_special_values(case, c_kernels):
                     err_msg=label)
 
 
+#: (channels, h, w, stride) of 3x3, pad-1 convs whose output planes have
+#: a multiple of 4 pixels: 4x4 planes at stride 1 (the register tile) with
+#: one, odd and the benchmark's largest channel counts, and planes of 64
+#: and 16 pixels from the plane loop, whose epilogue runs in one pass.
+WHOLE_VECTOR_CASES = {
+    "tile-one-channel": (1, 4, 4, 1),
+    "tile-three-channels": (3, 4, 4, 1),
+    "tile-seven-channels": (7, 4, 4, 1),
+    "tile-blocks.8.dw": (160, 4, 4, 1),
+    "plane-8x8-five-channels": (5, 8, 8, 1),
+    "plane-stride2-three-channels": (3, 8, 8, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(WHOLE_VECTOR_CASES))
+def test_c_whole_vector_planes_keep_special_values(case, c_kernels):
+    """The 4x4 tile and the one-pass epilogue, against the oracle.
+
+    The inputs hold NaN, +-inf, +-0.0 and 6.0 in every row and column of
+    the tile.  Channel 0 reads +0.0 against negative weights and a -0.0
+    bias, so its outputs are -0.0 sums that ReLU alone turns to +0.0.  A
+    few other weights are zeros or infinities, so the halo taps make NaN
+    too.  NaN payloads are not pinned (see above).
+    """
+    c, h, w, stride = WHOLE_VECTOR_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    cache = BufferCache()
+    for batch in (1, 5):
+        x = (4 * rng.standard_normal((batch, c, h, w))).astype(np.float32)
+        special = rng.random(x.shape) < 0.2
+        x[special] = rng.choice(np.array(
+            [np.nan, np.inf, -np.inf, -0.0, 0.0, 6.0], dtype=np.float32),
+            special.sum())
+        x[:, 0] = 0.0
+        weight = rng.standard_normal((c, 1, 3, 3)).astype(np.float32)
+        odd = rng.random(weight.shape) < 0.1
+        weight[odd] = rng.choice(np.array([0.0, -0.0, np.inf],
+                                          dtype=np.float32), odd.sum())
+        weight[0] = -1 - np.abs(weight[0], where=np.isfinite(weight[0]),
+                                out=np.zeros_like(weight[0]))
+        bias = rng.standard_normal(c).astype(np.float32)
+        bias[0] = -0.0
+        for b in (None, bias):
+            for act in kernels.ACTIVATIONS:
+                with np.errstate(invalid="ignore"):     # inf - inf, inf * 0
+                    expected = _float_oracle(x, weight, b, stride, 1, act)
+                assert (np.signbit(expected[:, 0]) == (act != "relu")).all()
+                actual = np.zeros(expected.shape, dtype=np.float32)
+                assert native.depthwise_f32(x, weight, b, stride, 1, act,
+                                            cache, actual)
+                label = f"batch={batch} bias={b is not None} act={act}"
+                nan = np.isnan(expected)
+                np.testing.assert_array_equal(np.isnan(actual), nan,
+                                              err_msg=label)
+                np.testing.assert_array_equal(
+                    _bits(actual)[~nan], _bits(expected)[~nan],
+                    err_msg=label)
+
+
 @pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("case", list(CASES))
 def test_numpy_depthwise_writes_into_out_and_cache(case, mode):

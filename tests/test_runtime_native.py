@@ -1,5 +1,5 @@
 """The C kernel library: it loads where a compiler exists, and its epilogues
-match NumPy bit for bit.
+and pool match NumPy bit for bit.
 
 :mod:`repro.runtime.native` builds ``native.c`` on first use and falls back
 to NumPy when it cannot.  A silent fallback would hide a broken build behind
@@ -8,7 +8,12 @@ depthwise kernels are checked in ``tests/test_runtime_depthwise.py``; this
 file checks the three GEMM epilogues: the int8 ones on random int32
 accumulators, the float32 bias + activation on GEMM outputs holding NaN,
 infinities and signed zeros, and that every registry float32 conv binds it.
+It also checks the float32 global pool against ``x.mean(axis=(2, 3))`` and
+that every registry pool step binds it.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,10 @@ import pytest
 from repro.core import OFSCIL, OFSCILConfig
 from repro.models import get_config, list_configs
 from repro.runtime import BatchedPredictor, kernels, native
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from int8_fixtures import build_quantized_model  # noqa: E402
+from test_runtime_depthwise import _embed_batches_1_and_5  # noqa: E402
 
 
 def test_c_kernels_load_when_a_compiler_is_on_path():
@@ -121,12 +130,21 @@ def test_wrappers_refuse_arrays_they_cannot_pass_to_c(rng, c_kernels):
                                  np.empty((2, 8, 3), np.int8)[:, :3, :])
     assert not native.requantize(acc, bias_q.astype(np.int64), multiplier,
                                  -127, 127, out)
+    x = acc.reshape(2, 3, 2, 4)
+    pooled = np.empty((2, 3), np.float32)
+    assert native.global_pool_f32(x, pooled)
+    assert not native.global_pool_f32(x.astype(np.float64), pooled)
+    assert not native.global_pool_f32(x[:, :, :, ::2], pooled)
+    assert not native.global_pool_f32(x, np.empty((3, 2), np.float32).T)
+    assert not native.global_pool_f32(x, np.empty((2, 2), np.float32))
 
 
 #: (n, c, spatial) GEMM outputs: spatial sizes of 1 and odd tails of the
-#: vectorized plane loops, plus three conv shapes of the benchmark backbone.
+#: vectorized plane loops, three conv shapes of the benchmark backbone, and
+#: whole-vector planes (one pass) of one and odd channel counts.
 EPILOGUE_SHAPES = [(1, 8, 1), (5, 3, 1), (1, 4, 7), (3, 5, 9), (2, 6, 13),
-                   (1, 3, 33), (1, 16, 256), (1, 64, 16), (5, 32, 64)]
+                   (1, 3, 33), (1, 16, 256), (1, 64, 16), (5, 32, 64),
+                   (1, 1, 4), (1, 3, 16), (3, 7, 64), (1, 5, 256)]
 
 
 def _bits(array):
@@ -170,6 +188,7 @@ def _numpy_epilogue(*args, **kwargs):
     raise AssertionError("a float32 GEMM conv step bound the NumPy epilogue")
 
 
+
 @pytest.mark.parametrize("backbone", list_configs())
 def test_every_registry_gemm_conv_step_binds_the_c_epilogue(backbone,
                                                            c_kernels,
@@ -179,9 +198,72 @@ def test_every_registry_gemm_conv_step_binds_the_c_epilogue(backbone,
     model = OFSCIL.from_registry(backbone, OFSCILConfig(backbone=backbone),
                                  seed=0)
     monkeypatch.setattr(kernels, "conv_epilogue", _numpy_epilogue)
-    predictor = BatchedPredictor(model, mode="float32")
-    size = get_config(backbone).input_size
-    rng = np.random.default_rng(0)
-    for batch in (1, 5):
-        images = rng.standard_normal((batch, 3, size, size))
-        predictor.embed(images.astype(np.float32))
+    _embed_batches_1_and_5(BatchedPredictor(model, mode="float32"),
+                           get_config(backbone).input_size)
+
+
+#: (n, c, h, w) pool inputs: spatial sizes 1, 7, 16, 64, 121, 144 and 256,
+#: so NumPy's 8-accumulator blocks, their tails and the halving above 128
+#: elements are all covered, at batch 1 and odd channel counts; 169 and
+#: 400 halve at a multiple of 8 below the midpoint, 400 twice over.
+POOL_SHAPES = [(1, 3, 1, 1), (2, 5, 1, 7), (1, 7, 4, 4), (5, 3, 8, 8),
+               (1, 3, 11, 11), (3, 5, 12, 12), (1, 3, 16, 16),
+               (64, 9, 4, 4), (1, 3, 13, 13), (2, 3, 20, 20)]
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES, ids=str)
+def test_c_global_pool_matches_numpy_mean(shape, c_kernels):
+    """NaN where ``mean`` has NaN, and every other bit ``mean``'s.
+
+    Values spread over many magnitudes, so a different summation order
+    rounds differently.  Plane 1 is all -0.0 (its mean reads +0.0), plane
+    2 holds only 6.0 and +inf, the other odd planes hold NaN, +-inf, +-0.0
+    and 6.0 at random, and the other even planes only finite values.
+    """
+    n, c, h, w = shape
+    rng = np.random.default_rng(n * 1000 + c * 100 + h * w)
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-4, 4, shape))
+    planes = x.astype(np.float32).reshape(n * c, h * w)
+    special = rng.random(planes.shape) < 0.05
+    special[::2] = False
+    planes[special] = rng.choice(np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 6.0], dtype=np.float32),
+        special.sum())
+    planes[1] = -0.0
+    planes[2] = rng.choice(np.array([6.0, np.inf], dtype=np.float32),
+                           h * w)
+    x = planes.reshape(shape)
+    with np.errstate(invalid="ignore"):                 # inf - inf
+        expected = kernels.global_avg_pool(x)
+    actual = np.full((n, c), 7.0, dtype=np.float32)
+    assert native.global_pool_f32(x, actual)
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(_bits(actual)[~nan], _bits(expected)[~nan])
+    assert _bits(actual).reshape(-1)[1] == 0
+
+
+def _numpy_pool(*args, **kwargs):
+    raise AssertionError("a global_pool step ran the NumPy mean")
+
+
+@pytest.mark.parametrize("backbone", list_configs())
+def test_every_registry_global_pool_step_binds_the_c_kernel(backbone,
+                                                           c_kernels,
+                                                           monkeypatch):
+    model = OFSCIL.from_registry(backbone, OFSCILConfig(backbone=backbone),
+                                 seed=0)
+    monkeypatch.setattr(kernels, "global_avg_pool", _numpy_pool)
+    _embed_batches_1_and_5(BatchedPredictor(model, mode="float32"),
+                           get_config(backbone).input_size)
+
+
+def test_int8_float_pool_step_binds_the_c_kernel(c_kernels, monkeypatch):
+    # The MobileNetV2 int8 plans dequantize before a float pool step.
+    model, _ = build_quantized_model()
+    monkeypatch.setattr(kernels, "global_avg_pool", _numpy_pool)
+    predictor = BatchedPredictor(model, mode="int8")
+    assert any(step.op == "global_pool"
+               for step in predictor.backbone_engine.plan.steps)
+    _embed_batches_1_and_5(predictor,
+                           get_config(model.config.backbone).input_size)

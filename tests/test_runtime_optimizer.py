@@ -1479,8 +1479,8 @@ class TestPredictorEngines:
     @pytest.mark.parametrize("mode", ["float32", "int8"])
     def test_staleness_walk_sees_every_traversal_item(self, mode):
         # One walk collects what parameters(), named_buffers() and modules()
-        # reach: every weight and buffer array, every hook, and (int8) every
-        # quantizer threshold in module order.
+        # reach: every weight and buffer array, every module, every hook,
+        # and (int8) every quantizer threshold in module order.
         from repro.quant.activation_quant import ActivationQuantizer
 
         model = predictor_model(mode)
@@ -1490,6 +1490,7 @@ class TestPredictorEngines:
             backbone, arrays=True, buffers=True)
         expected = [parameter.data for parameter in backbone.parameters()]
         expected += [buffer for _, buffer in backbone.named_buffers()]
+        expected += list(backbone.modules())
         assert sorted(map(id, objects)) == sorted(map(id, expected))
         assert len(objects) == len(expected)
         assert hooks == sum(len(module._forward_hooks)

@@ -4,11 +4,13 @@ Between walks of the module tree, :class:`~repro.runtime.BatchedPredictor`
 trusts ``Module.structure_epoch``: while it holds, only the parameters'
 ``data`` identities and the int8 quantizer settings are compared.  Random
 sequences of changes — through every ``Module`` method that moves the epoch,
-``param.data`` rebinds and int8 threshold changes (which do not move it),
-the same changes to a second model (which move it but change nothing here),
-and plain accesses — must leave each engine rebuilt exactly when the full
-walk (:meth:`_staleness` + :meth:`_stale`) says stale, or the engine's
-module tree was replaced.
+replacing a child that holds no parameters, ``param.data`` rebinds and int8
+threshold changes (which do not move it), the same changes to a second
+model (which move it but change nothing here), and plain accesses — must
+leave each engine rebuilt exactly when the full walk (:meth:`_staleness` +
+:meth:`_stale`) says stale, or the engine's module tree was replaced.  The
+last tests swap the activation child of every ``ConvBNReLU``: the engine is
+rebuilt, and the runtime lowers the new activation instead of a ReLU6.
 """
 
 import copy
@@ -19,10 +21,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import nn
 from repro.core import OFSCIL, OFSCILConfig
+from repro.models.mobilenetv2 import ConvBNReLU
 from repro.nn.modules import Module, Parameter
 from repro.quant.activation_quant import ActivationQuantizer
-from repro.runtime import BatchedPredictor
+from repro.runtime import BatchedPredictor, compare_with_eager, compile_backbone
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from int8_fixtures import BACKBONE, build_quantized_model  # noqa: E402
@@ -48,6 +52,17 @@ def set_parameter(model, pick):
 
 def set_module(model, pick):
     owners = [(m, name) for m in model.modules() for name in m._modules]
+    (module, name), fresh = _choose(owners, pick)
+    child = module._modules[name]
+    setattr(module, name, copy.deepcopy(child) if fresh else child)
+
+
+def replace_free_child(model, pick):
+    # A child without parameters (an activation, a pool): its replacement
+    # changes no array the walk compares, only the module tree.
+    owners = [(m, name) for m in model.modules()
+              for name, child in m._modules.items()
+              if not list(child.parameters())]
     (module, name), fresh = _choose(owners, pick)
     child = module._modules[name]
     setattr(module, name, copy.deepcopy(child) if fresh else child)
@@ -86,9 +101,10 @@ def clear_hooks(model, pick):
     module.clear_forward_hooks()
 
 
-#: The changes that move the structure epoch, one per bumping method.
-BUMPS = (set_parameter, set_module, register_buffer, update_buffer,
-         register_hook, remove_hook, clear_hooks)
+#: The changes that move the structure epoch: one per bumping method, and
+#: the replacement of a child without parameters.
+BUMPS = (set_parameter, set_module, replace_free_child, register_buffer,
+         update_buffer, register_hook, remove_hook, clear_hooks)
 
 
 def rebind_data(model, pick):
@@ -161,3 +177,39 @@ def test_engines_rebuild_exactly_when_the_walk_says_stale(models, mode,
             assert (Module.structure_epoch != epoch) == \
                 (CHANGES[change] in BUMPS), change
         check(f"step {index}: {change}({pick})")
+
+
+def _swap_activations(model, make):
+    for module in model.backbone.modules():
+        if isinstance(module, ConvBNReLU):
+            module.act = make()
+
+
+@pytest.mark.parametrize("make", [nn.Identity, nn.ReLU, nn.Sigmoid],
+                         ids=lambda make: make.__name__)
+def test_swapped_activations_rebuild_and_match_eager(models, make):
+    model = copy.deepcopy(models["float32"])
+    predictor = BatchedPredictor(model, mode="float32")
+    images = np.random.default_rng(0).standard_normal(
+        (6, 3, 16, 16)).astype(np.float32)
+    assert compare_with_eager(model, images, predictor=predictor).ok
+    engine = predictor.backbone_engine
+    _swap_activations(model, make)
+    assert predictor.backbone_engine is not engine
+    report = compare_with_eager(model, images, predictor=predictor)
+    assert report.ok, report.summary()
+
+
+def test_int8_lowering_fuses_only_the_activation_it_is(models):
+    model = copy.deepcopy(models["int8"])
+    _swap_activations(model, nn.Identity)
+    steps = compile_backbone(model.backbone, mode="int8").steps
+    convs = [step for step in steps if "conv" in step.op]
+    assert convs and all(step.attrs.get("act") is None for step in convs)
+    assert not any(step.op == "opaque" for step in steps)
+    # An activation with no fused form keeps its block on the eager path.
+    _swap_activations(model, nn.Sigmoid)
+    steps = compile_backbone(model.backbone, mode="int8").steps
+    opaque = [step.module for step in steps if step.op == "opaque"]
+    assert opaque and all(isinstance(module, ConvBNReLU)
+                          for module in opaque)
