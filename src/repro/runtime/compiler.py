@@ -6,9 +6,8 @@ the architectures used by the reproduction are static) and emits one
 
 * ``Conv2d -> BatchNorm2d -> ReLU/ReLU6`` chains collapse into a single
   ``conv`` step whose weights have the batch-norm scale folded in and whose
-  activation is applied in place on the GEMM output (a ``ConvBNReLU``
-  fuses the activation its ``act`` child is, see
-  :data:`FUSED_ACTIVATIONS`);
+  activation is applied in place on the GEMM output (the activation its
+  ``act`` or ``relu`` child is, see :data:`FUSED_ACTIVATIONS`);
 * ``Linear`` layers become ``linear`` steps that read their weights from the
   live module at execution time, so in-place fine-tuning needs no recompile;
 * residual additions become explicit ``add`` steps over named registers;
@@ -70,10 +69,11 @@ from .plan import InferencePlan, Step
 #: Compilation modes understood by :func:`compile_module`.
 MODES = ("float32", "int8")
 
-#: Activation module types a ``ConvBNReLU`` fuses into its conv, matched by
-#: exact type, and the fused activation each one is.  Any other ``act``
-#: child runs after the conv on its own (float32) or keeps the block opaque
-#: (int8).
+#: Activation module types fused into the step before them, matched by exact
+#: type, and the fused activation each one is: a ``ConvBNReLU``'s ``act``
+#: child, and the ``relu`` child of the ResNet blocks and the ResNet-20 stem.
+#: Any other module runs after its conv on its own (``ConvBNReLU`` and the
+#: stem in float32) or keeps its block eager.
 FUSED_ACTIVATIONS = {ReLU6: "relu6", ReLU: "relu", Identity: None}
 
 
@@ -177,14 +177,15 @@ def _lower(builder: PlanBuilder, module: Module, name: str, x: str) -> str:
         return builder.emit("opaque", name, (x,), module=module, hint="opq")
 
     if isinstance(module, ConvBNReLU):
-        act = type(module.act)
-        if act in FUSED_ACTIVATIONS:
-            return _lower_conv_bn_act(builder, name, x, module.conv, module.bn,
-                                      FUSED_ACTIVATIONS[act])
-        out = _lower_conv_bn_act(builder, name, x, module.conv, module.bn, None)
-        return _lower(builder, module.act, f"{name}.act", out)
+        return _lower_conv_bn_then(builder, name, x, module.conv, module.bn,
+                                   module.act)
     if isinstance(module, InvertedResidual):
         return _lower_inverted_residual(builder, module, name, x)
+    if isinstance(module, (ResNet12Block, BasicBlock)) \
+            and type(module.relu) not in FUSED_ACTIVATIONS:
+        # The block applies its relu child after two or three of its steps;
+        # one with no fused form keeps the block on the eager path.
+        return builder.emit("opaque", name, (x,), module=module, hint="opq")
     if isinstance(module, ResNet12Block):
         return _lower_resnet12_block(builder, module, name, x)
     if isinstance(module, BasicBlock):
@@ -193,15 +194,15 @@ def _lower(builder: PlanBuilder, module: Module, name: str, x: str) -> str:
         out = _lower(builder, module.stem, f"{name}.stem", x)
         out = _lower(builder, module.blocks, f"{name}.blocks", out)
         out = _lower(builder, module.head, f"{name}.head", out)
-        return builder.emit("global_pool", f"{name}.pool", (out,), hint="gap")
+        return _lower(builder, module.pool, f"{name}.pool", out)
     if isinstance(module, ResNet12Backbone):
         out = _lower(builder, module.blocks, f"{name}.blocks", x)
-        return builder.emit("global_pool", f"{name}.pool", (out,), hint="gap")
+        return _lower(builder, module.pool, f"{name}.pool", out)
     if isinstance(module, ResNet20Backbone):
-        out = _lower_conv_bn_act(builder, f"{name}.stem", x, module.stem,
-                                 module.stem_bn, "relu")
+        out = _lower_conv_bn_then(builder, f"{name}.stem", x, module.stem,
+                                  module.stem_bn, module.relu)
         out = _lower(builder, module.blocks, f"{name}.blocks", out)
-        return builder.emit("global_pool", f"{name}.pool", (out,), hint="gap")
+        return _lower(builder, module.pool, f"{name}.pool", out)
     if isinstance(module, FullyConnectedReductor):
         return _lower(builder, module.linear, f"{name}.linear", x)
     if isinstance(module, Sequential):
@@ -257,6 +258,19 @@ def _lower_conv_bn_act(builder: PlanBuilder, name: str, x: str, conv: Conv2d,
                "groups": conv.groups, "act": act}, hint="conv")
 
 
+def _lower_conv_bn_then(builder: PlanBuilder, name: str, x: str,
+                        conv: Conv2d, bn: Optional[BatchNorm2d],
+                        act: Module) -> str:
+    """Conv + bn, then the activation module ``act``: fused into the conv
+    when :data:`FUSED_ACTIVATIONS` has its exact type, otherwise lowered on
+    its own after the conv."""
+    if type(act) in FUSED_ACTIVATIONS:
+        return _lower_conv_bn_act(builder, name, x, conv, bn,
+                                  FUSED_ACTIVATIONS[type(act)])
+    out = _lower_conv_bn_act(builder, name, x, conv, bn, None)
+    return _lower(builder, act, f"{name}.act", out)
+
+
 def _lower_inverted_residual(builder: PlanBuilder, module: InvertedResidual,
                              name: str, x: str) -> str:
     out = x
@@ -273,25 +287,25 @@ def _lower_inverted_residual(builder: PlanBuilder, module: InvertedResidual,
 
 def _lower_resnet12_block(builder: PlanBuilder, module: ResNet12Block,
                           name: str, x: str) -> str:
+    act = FUSED_ACTIVATIONS[type(module.relu)]
     residual = _lower_conv_bn_act(builder, f"{name}.shortcut", x,
                                   module.shortcut, module.shortcut_bn, None)
     out = _lower_conv_bn_act(builder, f"{name}.conv1", x, module.conv1,
-                             module.bn1, "relu")
+                             module.bn1, act)
     out = _lower_conv_bn_act(builder, f"{name}.conv2", out, module.conv2,
-                             module.bn2, "relu")
+                             module.bn2, act)
     out = _lower_conv_bn_act(builder, f"{name}.conv3", out, module.conv3,
                              module.bn3, None)
     out = builder.emit("add", f"{name}.residual", (out, residual),
-                       attrs={"act": "relu"}, hint="add")
+                       attrs={"act": act}, hint="add")
     if module.pool is not None:
-        out = builder.emit("max_pool", f"{name}.pool", (out,),
-                           attrs={"kernel_size": module.pool.kernel_size,
-                                  "stride": module.pool.stride}, hint="maxp")
+        out = _lower(builder, module.pool, f"{name}.pool", out)
     return out
 
 
 def _lower_basic_block(builder: PlanBuilder, module: BasicBlock, name: str,
                        x: str) -> str:
+    act = FUSED_ACTIVATIONS[type(module.relu)]
     if module.downsample is not None:
         residual = _lower_conv_bn_act(builder, f"{name}.downsample", x,
                                       module.downsample, module.downsample_bn,
@@ -299,11 +313,11 @@ def _lower_basic_block(builder: PlanBuilder, module: BasicBlock, name: str,
     else:
         residual = x
     out = _lower_conv_bn_act(builder, f"{name}.conv1", x, module.conv1,
-                             module.bn1, "relu")
+                             module.bn1, act)
     out = _lower_conv_bn_act(builder, f"{name}.conv2", out, module.conv2,
                              module.bn2, None)
     return builder.emit("add", f"{name}.residual", (out, residual),
-                        attrs={"act": "relu"}, hint="add")
+                        attrs={"act": act}, hint="add")
 
 
 # ---------------------------------------------------------------------------
@@ -573,25 +587,26 @@ def _lower_resnet12_block_int8(builder: _Int8Builder, module: ResNet12Block,
                                module.bn2, module.conv3, module.bn3,
                                module.shortcut, module.shortcut_bn,
                                module.pool)
-    if not relu_clean or not clean:
+    if not relu_clean or not clean \
+            or type(module.relu) not in FUSED_ACTIVATIONS:
         return _emit_opaque_int8(builder, module, name, x)
+    act = FUSED_ACTIVATIONS[type(module.relu)]
     residual = _emit_conv_int8(builder, f"{name}.shortcut", x,
                                module.shortcut, module.shortcut_bn, None, None)
     out = _emit_conv_int8(builder, f"{name}.conv1", x, module.conv1,
-                          module.bn1, "relu", relu_scale)
+                          module.bn1, act, relu_scale)
     out = _emit_conv_int8(builder, f"{name}.conv2", out, module.conv2,
-                          module.bn2, "relu", relu_scale)
+                          module.bn2, act, relu_scale)
     out = _emit_conv_int8(builder, f"{name}.conv3", out, module.conv3,
                           module.bn3, None, None)
     out = _ensure_float(builder, out, f"{name}.conv3_dq")
     residual = _ensure_float(builder, residual, f"{name}.shortcut_dq")
     out = builder.emit("add", f"{name}.residual", (out, residual),
-                       attrs={"act": "relu"}, hint="add")
+                       attrs={"act": act}, hint="add")
     if relu_scale is not None:
         out = _emit_quantize(builder, f"{name}.requant", out, relu_scale)
     if module.pool is not None:
-        out = _emit_max_pool_int8(builder, f"{name}.pool", out,
-                                  module.pool.kernel_size, module.pool.stride)
+        out = _lower_int8(builder, module.pool, f"{name}.pool", out)
     # The block hook observes the *post-pool* output (max pooling commutes
     # with the positive grid scale, so pooling codes first is exact).
     return _emit_block_requant(builder, name, out, block_scale)
@@ -604,8 +619,10 @@ def _lower_basic_block_int8(builder: _Int8Builder, module: BasicBlock,
     clean = _modules_hook_free(module.conv1, module.bn1, module.conv2,
                                module.bn2, module.downsample,
                                module.downsample_bn)
-    if not relu_clean or not clean:
+    if not relu_clean or not clean \
+            or type(module.relu) not in FUSED_ACTIVATIONS:
         return _emit_opaque_int8(builder, module, name, x)
+    act = FUSED_ACTIVATIONS[type(module.relu)]
     if module.downsample is not None:
         # Strided 1x1 projection shortcut: integer conv, dequantized into the
         # float residual accumulation (the fusion pass folds the dequantize
@@ -618,12 +635,12 @@ def _lower_basic_block_int8(builder: _Int8Builder, module: BasicBlock,
         # Identity shortcut: the int8 input joins the add on its own grid.
         residual = _ensure_float(builder, x, f"{name}.residual_dq")
     out = _emit_conv_int8(builder, f"{name}.conv1", x, module.conv1,
-                          module.bn1, "relu", relu_scale)
+                          module.bn1, act, relu_scale)
     out = _emit_conv_int8(builder, f"{name}.conv2", out, module.conv2,
                           module.bn2, None, None)
     out = _ensure_float(builder, out, f"{name}.conv2_dq")
     out = builder.emit("add", f"{name}.residual", (out, residual),
-                       attrs={"act": "relu"}, hint="add")
+                       attrs={"act": act}, hint="add")
     if relu_scale is not None:
         out = _emit_quantize(builder, f"{name}.requant", out, relu_scale)
     return _emit_block_requant(builder, name, out, block_scale)
@@ -667,6 +684,15 @@ def _lower_global_pool_int8(builder: _Int8Builder, pool: GlobalAvgPool2d,
     return out
 
 
+def _lower_pool_child_int8(builder: _Int8Builder, pool: Module, name: str,
+                           x: str, integer: bool = False) -> str:
+    """A backbone's ``pool`` child: the global pool rule for a
+    :class:`GlobalAvgPool2d`, the generic lowering for any other module."""
+    if isinstance(pool, GlobalAvgPool2d):
+        return _lower_global_pool_int8(builder, pool, name, x, integer)
+    return _lower_int8(builder, pool, name, x)
+
+
 def _lower_int8(builder: _Int8Builder, module: Module, name: str, x: str) -> str:
     """Emit int8-plan steps computing ``module(x)``; returns the output register.
 
@@ -695,23 +721,25 @@ def _lower_int8(builder: _Int8Builder, module: Module, name: str, x: str) -> str
         out = _lower_int8(builder, module.stem, f"{name}.stem", x)
         out = _lower_int8(builder, module.blocks, f"{name}.blocks", out)
         out = _lower_int8(builder, module.head, f"{name}.head", out)
-        return _lower_global_pool_int8(builder, module.pool, f"{name}.pool",
-                                       out)
+        return _lower_pool_child_int8(builder, module.pool, f"{name}.pool",
+                                      out)
     if isinstance(module, ResNet12Backbone):
         out = _lower_int8(builder, module.blocks, f"{name}.blocks", x)
-        return _lower_global_pool_int8(builder, module.pool, f"{name}.pool",
-                                       out, integer=True)
+        return _lower_pool_child_int8(builder, module.pool, f"{name}.pool",
+                                      out, integer=True)
     if isinstance(module, ResNet20Backbone):
         if not _modules_hook_free(module.stem, module.stem_bn):
             return _emit_opaque_int8(builder, module, name, x)
         stem_scale, stem_clean = _hook_state(module.relu)
-        if not stem_clean:
+        if not stem_clean or type(module.relu) not in FUSED_ACTIVATIONS:
             return _emit_opaque_int8(builder, module, name, x)
         out = _emit_conv_int8(builder, f"{name}.stem", x, module.stem,
-                              module.stem_bn, "relu", stem_scale)
+                              module.stem_bn,
+                              FUSED_ACTIVATIONS[type(module.relu)],
+                              stem_scale)
         out = _lower_int8(builder, module.blocks, f"{name}.blocks", out)
-        return _lower_global_pool_int8(builder, module.pool, f"{name}.pool",
-                                       out, integer=True)
+        return _lower_pool_child_int8(builder, module.pool, f"{name}.pool",
+                                      out, integer=True)
     if isinstance(module, FullyConnectedReductor):
         return _lower_linear_int8(
             builder, module.linear, f"{name}.linear", x,

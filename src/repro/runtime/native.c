@@ -24,12 +24,12 @@
  * rewrite all they use on every call.
  *
  * Where the compiler targets SSE2 (__SSE2__, the x86-64 baseline, so the
- * build needs no -march flag), three float32 paths run as 4-lane vectors:
- * the 3x3, stride-1, pad-1 depthwise conv of a 4x4 plane as a register
- * tile, with no haloed copy; the bias + activation epilogue as one pass
- * over planes whose length is a multiple of 4; and the 8 accumulators of
- * the pool's pairwise sum.  The vectors do the scalar code's operations in
- * its order, and the portable loops beside them run everywhere else.
+ * build needs no -march flag), the 3x3, stride-1, pad-1 float32 depthwise
+ * conv of a 4x4 plane runs as a register tile of 4-lane vectors, with no
+ * haloed copy; the vectors do plane()'s and bias_act()'s operations in
+ * their order, and the plane loop runs that shape everywhere else.  The
+ * other loops are plain C that gcc vectorizes: SSE2 intrinsics for the
+ * epilogue and for the pool's 8 accumulators measured no clear gain.
  */
 #include <stdint.h>
 #include <string.h>
@@ -68,62 +68,22 @@ static inline int8_t requantize_one(float a, double multiplier, double qmin,
     return (int8_t)(int32_t)v;
 }
 
-#ifdef __SSE2__
-/* relu() and relu6() on four lanes; the zeros they write are +0.0. */
-static inline __m128 relu_x4(__m128 v)
-{
-    __m128 keep = _mm_or_ps(_mm_cmpgt_ps(v, _mm_setzero_ps()),
-                            _mm_cmpunord_ps(v, v));
-    return _mm_and_ps(keep, v);
-}
-
-static inline __m128 relu6_x4(__m128 v)
-{
-    __m128 six = _mm_set1_ps(6.0f);
-    v = _mm_andnot_ps(_mm_cmplt_ps(v, _mm_setzero_ps()), v);
-    __m128 over = _mm_cmpgt_ps(v, six);
-    return _mm_or_ps(_mm_andnot_ps(over, v), _mm_and_ps(over, six));
-}
-
-/* bias_act() on four lanes: + b unless bias is NULL, then the activation. */
-static inline __m128 bias_act_x4(__m128 v, const float *bias, __m128 b,
-                                 long act)
-{
-    if (bias)
-        v = _mm_add_ps(v, b);
-    if (act == ACT_RELU)
-        return relu_x4(v);
-    if (act == ACT_RELU6)
-        return relu6_x4(v);
-    return v;
-}
-#endif
-
-/* + bias, then the activation, over `size` floats of one channel:
- * fused_conv's epilogue.  bias points at the channel's bias, or is NULL.
- * With SSE2, a plane of whole vectors takes both in one pass. */
+/* + bias, then the activation, in one pass over `size` floats of one
+ * channel: fused_conv's epilogue.  bias points at the channel's bias, or is
+ * NULL; then the pass adds -0.0, which leaves every value as it is, signed
+ * zeros included. */
 static void bias_act(float *o, long size, const float *bias, long act)
 {
-#ifdef __SSE2__
-    if (size % 4 == 0) {
-        __m128 b = _mm_set1_ps(bias ? *bias : 0.0f);
-        for (long s = 0; s < size; s += 4)
-            _mm_storeu_ps(o + s, bias_act_x4(_mm_loadu_ps(o + s), bias, b,
-                                             act));
-        return;
-    }
-#endif
-    if (bias) {
-        float b = *bias;
-        for (long s = 0; s < size; s++)
-            o[s] = o[s] + b;
-    }
+    float b = bias ? *bias : -0.0f;
     if (act == ACT_RELU)
         for (long s = 0; s < size; s++)
-            o[s] = relu(o[s]);
+            o[s] = relu(o[s] + b);
     else if (act == ACT_RELU6)
         for (long s = 0; s < size; s++)
-            o[s] = relu6(o[s]);
+            o[s] = relu6(o[s] + b);
+    else if (bias)
+        for (long s = 0; s < size; s++)
+            o[s] = o[s] + b;
 }
 
 /* fused_qconv's epilogue over `size` accumulators of one channel: a + b in
@@ -172,6 +132,36 @@ static void sum_taps(const float *xp, const float *wc, float *o, long wp,
 }
 
 #ifdef __SSE2__
+/* relu() and relu6() on four lanes; the zeros they write are +0.0. */
+static inline __m128 relu_x4(__m128 v)
+{
+    __m128 keep = _mm_or_ps(_mm_cmpgt_ps(v, _mm_setzero_ps()),
+                            _mm_cmpunord_ps(v, v));
+    return _mm_and_ps(keep, v);
+}
+
+static inline __m128 relu6_x4(__m128 v)
+{
+    __m128 six = _mm_set1_ps(6.0f);
+    v = _mm_andnot_ps(_mm_cmplt_ps(v, _mm_setzero_ps()), v);
+    __m128 over = _mm_cmpgt_ps(v, six);
+    return _mm_or_ps(_mm_andnot_ps(over, v), _mm_and_ps(over, six));
+}
+
+/* bias_act() on four lanes of a tile: + b unless bias is NULL, then the
+ * activation. */
+static inline __m128 bias_act_x4(__m128 v, const float *bias, __m128 b,
+                                 long act)
+{
+    if (bias)
+        v = _mm_add_ps(v, b);
+    if (act == ACT_RELU)
+        return relu_x4(v);
+    if (act == ACT_RELU6)
+        return relu6_x4(v);
+    return v;
+}
+
 /* Lane i of the result holds lane i - 1 of v (from_left) or lane i + 1
  * (from_right), with a +0.0 shifted in: a row's left and right taps, and
  * the zero halo at its ends. */
@@ -325,30 +315,13 @@ static float pairwise_sum(const float *a, long n)
         return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
     }
     long i = 8;
-    float s;
-#ifdef __SSE2__
-    __m128 lo = _mm_loadu_ps(a), hi = _mm_loadu_ps(a + 4);
-    for (; i + 8 <= n; i += 8) {
-        lo = _mm_add_ps(lo, _mm_loadu_ps(a + i));
-        hi = _mm_add_ps(hi, _mm_loadu_ps(a + i + 4));
-    }
-    /* (r0 + r1, r2 + r3, r4 + r5, r6 + r7), then its two pair sums. */
-    __m128 pairs = _mm_add_ps(_mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)),
-                              _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1)));
-    __m128 halves = _mm_add_ps(
-        _mm_shuffle_ps(pairs, pairs, _MM_SHUFFLE(2, 0, 2, 0)),
-        _mm_shuffle_ps(pairs, pairs, _MM_SHUFFLE(3, 1, 3, 1)));
-    s = _mm_cvtss_f32(halves)
-        + _mm_cvtss_f32(_mm_shuffle_ps(halves, halves, _MM_SHUFFLE(1, 1, 1, 1)));
-#else
     float r[8];
     for (int j = 0; j < 8; j++)
         r[j] = a[j];
     for (; i + 8 <= n; i += 8)
         for (int j = 0; j < 8; j++)
             r[j] = r[j] + a[i + j];
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-#endif
+    float s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
     for (; i < n; i++)
         s = s + a[i];
     return s;

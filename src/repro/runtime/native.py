@@ -15,12 +15,12 @@ bound), so the sum is the exact int32 one.  On the baseline x86-64 ISA
 (SSE2) that measured about twice as fast as widening the int8 products into
 int32 lanes.
 
-Where the compiler defines ``__SSE2__`` (every x86-64 target), three
-float32 paths are written as SSE2 intrinsics: the 3x3, stride-1, pad-1
-depthwise conv of a 4x4 plane as a register tile with no haloed copy, the
-bias + activation epilogue as one pass over planes whose length is a
-multiple of 4, and the pool's 8 accumulators.  The portable loops beside
-them build everywhere else and run every other shape.
+Where the compiler defines ``__SSE2__`` (every x86-64 target), the 3x3,
+stride-1, pad-1 float32 depthwise conv of a 4x4 plane runs as a register
+tile of SSE2 intrinsics with no haloed copy; the plane loop runs that shape
+everywhere else.  The other loops are plain C that gcc vectorizes: the
+bias + activation epilogue is one pass, and the pool sums in 8
+accumulators.
 
 The first kernel call in a process compiles ``native.c`` with the host C
 compiler (``cc``) into the per-user cache directory ``~/.cache/repro-native``

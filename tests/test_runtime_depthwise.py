@@ -223,7 +223,7 @@ def test_c_depthwise_f32_keeps_special_values(case, c_kernels):
 #: (channels, h, w, stride) of 3x3, pad-1 convs whose output planes have
 #: a multiple of 4 pixels: 4x4 planes at stride 1 (the register tile) with
 #: one, odd and the benchmark's largest channel counts, and planes of 64
-#: and 16 pixels from the plane loop, whose epilogue runs in one pass.
+#: and 16 pixels from the plane loop and its one-pass epilogue.
 WHOLE_VECTOR_CASES = {
     "tile-one-channel": (1, 4, 4, 1),
     "tile-three-channels": (3, 4, 4, 1),

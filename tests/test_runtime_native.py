@@ -141,7 +141,7 @@ def test_wrappers_refuse_arrays_they_cannot_pass_to_c(rng, c_kernels):
 
 #: (n, c, spatial) GEMM outputs: spatial sizes of 1 and odd tails of the
 #: vectorized plane loops, three conv shapes of the benchmark backbone, and
-#: whole-vector planes (one pass) of one and odd channel counts.
+#: planes of whole 4-lane vectors at one and odd channel counts.
 EPILOGUE_SHAPES = [(1, 8, 1), (5, 3, 1), (1, 4, 7), (3, 5, 9), (2, 6, 13),
                    (1, 3, 33), (1, 16, 256), (1, 64, 16), (5, 32, 64),
                    (1, 1, 4), (1, 3, 16), (3, 7, 64), (1, 5, 256)]

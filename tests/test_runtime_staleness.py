@@ -9,8 +9,10 @@ threshold changes (which do not move it), the same changes to a second
 model (which move it but change nothing here), and plain accesses — must
 leave each engine rebuilt exactly when the full walk (:meth:`_staleness` +
 :meth:`_stale`) says stale, or the engine's module tree was replaced.  The
-last tests swap the activation child of every ``ConvBNReLU``: the engine is
-rebuilt, and the runtime lowers the new activation instead of a ReLU6.
+last tests swap the activation children (every ``ConvBNReLU.act`` and every
+ResNet ``relu``) and the pool children of the registry backbones: the engine
+is rebuilt, and the runtime lowers the new module instead of the one it
+replaced.
 """
 
 import copy
@@ -24,12 +26,17 @@ from hypothesis import given, settings, strategies as st
 from repro import nn
 from repro.core import OFSCIL, OFSCILConfig
 from repro.models.mobilenetv2 import ConvBNReLU
+from repro.models.resnet import ResNet12Block
 from repro.nn.modules import Module, Parameter
 from repro.quant.activation_quant import ActivationQuantizer
 from repro.runtime import BatchedPredictor, compare_with_eager, compile_backbone
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from int8_fixtures import BACKBONE, build_quantized_model  # noqa: E402
+from int8_fixtures import (  # noqa: E402
+    BACKBONE,
+    RESNET_BACKBONE,
+    build_quantized_model,
+)
 
 
 def _probe(module, output):
@@ -179,37 +186,94 @@ def test_engines_rebuild_exactly_when_the_walk_says_stale(models, mode,
         check(f"step {index}: {change}({pick})")
 
 
+def _activation(module):
+    """The activation child of a ``ConvBNReLU``, a ResNet block or the
+    ResNet-20 backbone, or None."""
+    return module._modules.get("act" if isinstance(module, ConvBNReLU)
+                               else "relu")
+
+
 def _swap_activations(model, make):
-    for module in model.backbone.modules():
-        if isinstance(module, ConvBNReLU):
-            module.act = make()
+    for module in list(model.backbone.modules()):
+        if _activation(module) is not None:
+            setattr(module, "act" if isinstance(module, ConvBNReLU)
+                    else "relu", make())
 
 
-@pytest.mark.parametrize("make", [nn.Identity, nn.ReLU, nn.Sigmoid],
-                         ids=lambda make: make.__name__)
-def test_swapped_activations_rebuild_and_match_eager(models, make):
-    model = copy.deepcopy(models["float32"])
+def _swap_pools(model, make):
+    model.backbone.pool = nn.Sequential(nn.GlobalAvgPool2d(), make())
+    for module in list(model.backbone.modules()):
+        if isinstance(module, ResNet12Block) and module.pool is not None:
+            module.pool = nn.AvgPool2d(2)
+
+
+def _rebuilds_and_matches_eager(model, swap):
     predictor = BatchedPredictor(model, mode="float32")
     images = np.random.default_rng(0).standard_normal(
         (6, 3, 16, 16)).astype(np.float32)
     assert compare_with_eager(model, images, predictor=predictor).ok
     engine = predictor.backbone_engine
-    _swap_activations(model, make)
+    swap(model)
     assert predictor.backbone_engine is not engine
     report = compare_with_eager(model, images, predictor=predictor)
     assert report.ok, report.summary()
 
 
-def test_int8_lowering_fuses_only_the_activation_it_is(models):
-    model = copy.deepcopy(models["int8"])
+FLOAT_BACKBONES = (BACKBONE, "resnet12_tiny", RESNET_BACKBONE)
+
+
+def _float_model(models, backbone):
+    if backbone == BACKBONE:
+        return copy.deepcopy(models["float32"])
+    return OFSCIL.from_registry(backbone, OFSCILConfig(backbone=backbone),
+                                seed=0)
+
+
+@pytest.mark.parametrize("backbone", FLOAT_BACKBONES)
+@pytest.mark.parametrize("make", [nn.Identity, nn.ReLU, nn.ReLU6,
+                                  nn.Sigmoid],
+                         ids=lambda make: make.__name__)
+def test_swapped_activations_rebuild_and_match_eager(models, backbone, make):
+    _rebuilds_and_matches_eager(
+        _float_model(models, backbone),
+        lambda model: _swap_activations(model, make))
+
+
+@pytest.mark.parametrize("backbone", FLOAT_BACKBONES)
+def test_swapped_pools_rebuild_and_match_eager(models, backbone):
+    _rebuilds_and_matches_eager(
+        _float_model(models, backbone),
+        lambda model: _swap_pools(model, nn.Sigmoid))
+
+
+@pytest.fixture(scope="module")
+def int8_models(models):
+    return {BACKBONE: models["int8"],
+            RESNET_BACKBONE: build_quantized_model(RESNET_BACKBONE)[0]}
+
+
+@pytest.mark.parametrize("backbone", [BACKBONE, RESNET_BACKBONE])
+def test_int8_lowering_fuses_only_the_activation_it_is(int8_models,
+                                                       backbone):
+    model = copy.deepcopy(int8_models[backbone])
     _swap_activations(model, nn.Identity)
     steps = compile_backbone(model.backbone, mode="int8").steps
-    convs = [step for step in steps if "conv" in step.op]
-    assert convs and all(step.attrs.get("act") is None for step in convs)
+    fused = [step for step in steps if "conv" in step.op or step.op == "add"]
+    assert fused and all(step.attrs.get("act") is None for step in fused)
     assert not any(step.op == "opaque" for step in steps)
     # An activation with no fused form keeps its block on the eager path.
     _swap_activations(model, nn.Sigmoid)
     steps = compile_backbone(model.backbone, mode="int8").steps
     opaque = [step.module for step in steps if step.op == "opaque"]
-    assert opaque and all(isinstance(module, ConvBNReLU)
+    assert opaque and all(isinstance(_activation(module), nn.Sigmoid)
                           for module in opaque)
+
+
+@pytest.mark.parametrize("backbone", [BACKBONE, RESNET_BACKBONE])
+def test_int8_lowering_lowers_the_pool_child_it_is(int8_models, backbone):
+    model = copy.deepcopy(int8_models[backbone])
+    _swap_pools(model, nn.Sigmoid)
+    steps = compile_backbone(model.backbone, mode="int8").steps
+    assert steps[-2].op == "global_pool"
+    assert steps[-1].op == "opaque"
+    assert isinstance(steps[-1].module, nn.Sigmoid)
