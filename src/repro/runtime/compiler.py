@@ -2,23 +2,42 @@
 
 The compiler walks the structure of the model (no tracing pass is needed —
 the architectures used by the reproduction are static) and emits one
-:class:`~repro.runtime.plan.Step` per fused operation:
+:class:`~repro.runtime.plan.Step` per fused operation.  One lowering serves
+both modes of :data:`MODES`:
 
 * ``Conv2d -> BatchNorm2d -> ReLU/ReLU6`` chains collapse into a single
-  ``conv`` step whose weights have the batch-norm scale folded in and whose
-  activation is applied in place on the GEMM output (the activation its
-  ``act`` or ``relu`` child is, see :data:`FUSED_ACTIVATIONS`);
+  conv step whose weights have the batch-norm scale folded in and whose
+  activation is applied on its output (the activation its ``act`` or
+  ``relu`` child is, see :data:`FUSED_ACTIVATIONS`);
 * ``Linear`` layers become ``linear`` steps that read their weights from the
   live module at execution time, so in-place fine-tuning needs no recompile;
 * residual additions become explicit ``add`` steps over named registers;
-* any module that carries forward hooks anywhere in its subtree (activation
-  fake-quantisation attaches hooks) — or whose type the compiler does not
-  know — is kept as an ``opaque`` step that calls the module eagerly, so
-  compilation never changes semantics, only speed.
+* a module the compiler cannot express — a type it does not know, an
+  activation child with no fused form, a hook it cannot compile — is kept
+  as an ``opaque`` step that calls the module eagerly, so compilation never
+  changes semantics, only speed.
 
 Known model classes (:class:`MobileNetV2Backbone`, :class:`ResNet12Backbone`,
 :class:`ResNet20Backbone` and the composite blocks they are built from) get
-dedicated lowering rules; everything else falls back to generic traversal.
+one structural rule each; everything else falls back to generic traversal.
+
+Registers are float32 or int8, and the builder records the static
+quantization scale of every int8 register.  Each rule emits integer steps
+only where a register has a scale, so a plan with none is the float32 plan.
+``float32`` mode never gives a register one: any forward hook in a subtree
+keeps it eager, and the ``input_quantizer`` stamps are ignored.  ``int8``
+mode turns the frozen activation quantizers of
+:class:`repro.quant.ActivationQuantizationPass` into scales: a conv whose
+fused activation carries one requantizes its int32 accumulator straight
+back to int8 (``qconv``); a conv with no calibrated output range (e.g. the
+projection conv feeding a residual add) dequantizes to float
+(``qconv_dequant``), the add runs in float, and the block-output quantizer
+re-enters the int8 domain (Dory-style, after the residual).  The hooks
+become explicit ``quantize``/``requantize``/``dequantize`` steps, so an
+int8 plan carries no live module references for quantization and survives
+pickling unchanged.  Layers whose input arrives in float with no known
+scale stay on the float32 kernels — compilation degrades precision-wise,
+never semantically.
 
 The compiler emits the faithful, unoptimized plan.  Optimization happens in
 one place: :class:`~repro.runtime.engine.InferenceEngine` runs
@@ -72,8 +91,8 @@ MODES = ("float32", "int8")
 #: Activation module types fused into the step before them, matched by exact
 #: type, and the fused activation each one is: a ``ConvBNReLU``'s ``act``
 #: child, and the ``relu`` child of the ResNet blocks and the ResNet-20 stem.
-#: Any other module runs after its conv on its own (``ConvBNReLU`` and the
-#: stem in float32) or keeps its block eager.
+#: Any other module there keeps its block eager in both modes (for the stem,
+#: the whole backbone).
 FUSED_ACTIVATIONS = {ReLU6: "relu6", ReLU: "relu", Identity: None}
 
 
@@ -119,11 +138,17 @@ def bn_scale_shift(bn) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class PlanBuilder:
-    """Accumulates steps while threading register names through the graph."""
+    """Accumulates steps while threading register names through the graph.
 
-    def __init__(self, name: str):
+    ``scales`` maps each int8 register to its quantization scale; a float32
+    builder (``int8`` False) never records one.
+    """
+
+    def __init__(self, name: str, mode: str):
         self.name = name
+        self.int8 = mode == "int8"
         self.steps = []
+        self.scales = {}
         self._counter = itertools.count()
 
     def register(self, hint: str) -> str:
@@ -146,19 +171,23 @@ def compile_module(module: Module, name: str = "",
                    mode: str = "float32") -> InferencePlan:
     """Compile any supported module into a flat inference plan.
 
-    ``mode="float32"`` is the classic lowering (hooked subtrees fall back to
-    opaque eager steps).  ``mode="int8"`` lowers conv/linear layers of a
-    quantized model to integer kernels, turning activation fake-quant hooks
-    into first-class ``quantize``/``requantize`` plan ops (see
-    :func:`_lower_int8`).
+    ``mode="float32"`` keeps every hooked subtree as an opaque eager step.
+    ``mode="int8"`` lowers the conv/linear layers of a quantized model to
+    integer kernels, turning its activation fake-quant hooks into
+    first-class ``quantize``/``requantize`` plan ops.  Both run the same
+    rules (see :func:`_lower`).
     """
     if mode not in MODES:
         raise ValueError(f"unknown compile mode {mode!r}; expected one of {MODES}")
     name = name or module.__class__.__name__
-    if mode == "int8":
-        return _compile_int8(module, name)
-    builder = PlanBuilder(name)
-    return builder.build("x", _lower(builder, module, name, "x"))
+    builder = PlanBuilder(name, mode)
+    x = "x"
+    scale = _input_scale(builder, getattr(module, "input_quantizer", None))
+    if scale is not None:
+        x = _emit_quantize(builder, f"{name}.quant_in", x, scale)
+    out = _lower(builder, module, name, x)
+    out = _ensure_float(builder, out, f"{name}.dequant_out")
+    return builder.build("x", out)
 
 
 def compile_backbone(backbone: Module, mode: str = "float32") -> InferencePlan:
@@ -169,190 +198,6 @@ def compile_backbone(backbone: Module, mode: str = "float32") -> InferencePlan:
 # ---------------------------------------------------------------------------
 # Lowering rules
 # ---------------------------------------------------------------------------
-def _lower(builder: PlanBuilder, module: Module, name: str, x: str) -> str:
-    """Emit steps computing ``module(x)`` and return the output register."""
-    if has_hooks(module):
-        # Hooked modules (activation fake-quantisation, probes, ...) must run
-        # through the eager path to keep their side effects and rewrites.
-        return builder.emit("opaque", name, (x,), module=module, hint="opq")
-
-    if isinstance(module, ConvBNReLU):
-        return _lower_conv_bn_then(builder, name, x, module.conv, module.bn,
-                                   module.act)
-    if isinstance(module, InvertedResidual):
-        return _lower_inverted_residual(builder, module, name, x)
-    if isinstance(module, (ResNet12Block, BasicBlock)) \
-            and type(module.relu) not in FUSED_ACTIVATIONS:
-        # The block applies its relu child after two or three of its steps;
-        # one with no fused form keeps the block on the eager path.
-        return builder.emit("opaque", name, (x,), module=module, hint="opq")
-    if isinstance(module, ResNet12Block):
-        return _lower_resnet12_block(builder, module, name, x)
-    if isinstance(module, BasicBlock):
-        return _lower_basic_block(builder, module, name, x)
-    if isinstance(module, MobileNetV2Backbone):
-        out = _lower(builder, module.stem, f"{name}.stem", x)
-        out = _lower(builder, module.blocks, f"{name}.blocks", out)
-        out = _lower(builder, module.head, f"{name}.head", out)
-        return _lower(builder, module.pool, f"{name}.pool", out)
-    if isinstance(module, ResNet12Backbone):
-        out = _lower(builder, module.blocks, f"{name}.blocks", x)
-        return _lower(builder, module.pool, f"{name}.pool", out)
-    if isinstance(module, ResNet20Backbone):
-        out = _lower_conv_bn_then(builder, f"{name}.stem", x, module.stem,
-                                  module.stem_bn, module.relu)
-        out = _lower(builder, module.blocks, f"{name}.blocks", out)
-        return _lower(builder, module.pool, f"{name}.pool", out)
-    if isinstance(module, FullyConnectedReductor):
-        return _lower(builder, module.linear, f"{name}.linear", x)
-    if isinstance(module, Sequential):
-        out = x
-        for index in range(len(module)):
-            out = _lower(builder, module[index], f"{name}.{index}", out)
-        return out
-    if isinstance(module, Conv2d):
-        weight, bias = fold_conv_bn(module, None)
-        return builder.emit(
-            "conv", name, (x,), arrays={"weight": weight, "bias": bias},
-            attrs={"stride": module.stride, "padding": module.padding,
-                   "groups": module.groups, "act": None}, hint="conv")
-    if isinstance(module, (BatchNorm2d, BatchNorm1d)):
-        scale, shift = bn_scale_shift(module)
-        return builder.emit("bn", name, (x,),
-                            arrays={"scale": scale, "shift": shift},
-                            attrs={"act": None}, hint="bn")
-    if isinstance(module, Linear):
-        return builder.emit("linear", name, (x,), module=module,
-                            attrs={"act": None}, hint="fc")
-    if isinstance(module, ReLU):
-        return builder.emit("act", name, (x,), attrs={"act": "relu"},
-                            hint="relu")
-    if isinstance(module, ReLU6):
-        return builder.emit("act", name, (x,), attrs={"act": "relu6"},
-                            hint="relu6")
-    if isinstance(module, GlobalAvgPool2d):
-        return builder.emit("global_pool", name, (x,), hint="gap")
-    if isinstance(module, MaxPool2d):
-        return builder.emit("max_pool", name, (x,),
-                            attrs={"kernel_size": module.kernel_size,
-                                   "stride": module.stride}, hint="maxp")
-    if isinstance(module, AvgPool2d):
-        return builder.emit("avg_pool", name, (x,),
-                            attrs={"kernel_size": module.kernel_size,
-                                   "stride": module.stride}, hint="avgp")
-    if isinstance(module, Flatten):
-        return builder.emit("flatten", name, (x,), hint="flat")
-    if isinstance(module, (Identity, Dropout)):
-        # Dropout is the identity at inference time.
-        return x
-    # Unknown module: keep it, eagerly.
-    return builder.emit("opaque", name, (x,), module=module, hint="opq")
-
-
-def _lower_conv_bn_act(builder: PlanBuilder, name: str, x: str, conv: Conv2d,
-                       bn: Optional[BatchNorm2d], act: Optional[str]) -> str:
-    weight, bias = fold_conv_bn(conv, bn)
-    return builder.emit(
-        "conv", name, (x,), arrays={"weight": weight, "bias": bias},
-        attrs={"stride": conv.stride, "padding": conv.padding,
-               "groups": conv.groups, "act": act}, hint="conv")
-
-
-def _lower_conv_bn_then(builder: PlanBuilder, name: str, x: str,
-                        conv: Conv2d, bn: Optional[BatchNorm2d],
-                        act: Module) -> str:
-    """Conv + bn, then the activation module ``act``: fused into the conv
-    when :data:`FUSED_ACTIVATIONS` has its exact type, otherwise lowered on
-    its own after the conv."""
-    if type(act) in FUSED_ACTIVATIONS:
-        return _lower_conv_bn_act(builder, name, x, conv, bn,
-                                  FUSED_ACTIVATIONS[type(act)])
-    out = _lower_conv_bn_act(builder, name, x, conv, bn, None)
-    return _lower(builder, act, f"{name}.act", out)
-
-
-def _lower_inverted_residual(builder: PlanBuilder, module: InvertedResidual,
-                             name: str, x: str) -> str:
-    out = x
-    if module.expand is not None:
-        out = _lower(builder, module.expand, f"{name}.expand", out)
-    out = _lower(builder, module.depthwise, f"{name}.dw", out)
-    out = _lower_conv_bn_act(builder, f"{name}.project", out, module.project,
-                             module.project_bn, None)
-    if module.use_residual:
-        out = builder.emit("add", f"{name}.residual", (out, x),
-                           attrs={"act": None}, hint="add")
-    return out
-
-
-def _lower_resnet12_block(builder: PlanBuilder, module: ResNet12Block,
-                          name: str, x: str) -> str:
-    act = FUSED_ACTIVATIONS[type(module.relu)]
-    residual = _lower_conv_bn_act(builder, f"{name}.shortcut", x,
-                                  module.shortcut, module.shortcut_bn, None)
-    out = _lower_conv_bn_act(builder, f"{name}.conv1", x, module.conv1,
-                             module.bn1, act)
-    out = _lower_conv_bn_act(builder, f"{name}.conv2", out, module.conv2,
-                             module.bn2, act)
-    out = _lower_conv_bn_act(builder, f"{name}.conv3", out, module.conv3,
-                             module.bn3, None)
-    out = builder.emit("add", f"{name}.residual", (out, residual),
-                       attrs={"act": act}, hint="add")
-    if module.pool is not None:
-        out = _lower(builder, module.pool, f"{name}.pool", out)
-    return out
-
-
-def _lower_basic_block(builder: PlanBuilder, module: BasicBlock, name: str,
-                       x: str) -> str:
-    act = FUSED_ACTIVATIONS[type(module.relu)]
-    if module.downsample is not None:
-        residual = _lower_conv_bn_act(builder, f"{name}.downsample", x,
-                                      module.downsample, module.downsample_bn,
-                                      None)
-    else:
-        residual = x
-    out = _lower_conv_bn_act(builder, f"{name}.conv1", x, module.conv1,
-                             module.bn1, act)
-    out = _lower_conv_bn_act(builder, f"{name}.conv2", out, module.conv2,
-                             module.bn2, None)
-    return builder.emit("add", f"{name}.residual", (out, residual),
-                        attrs={"act": act}, hint="add")
-
-
-# ---------------------------------------------------------------------------
-# Int8 lowering
-# ---------------------------------------------------------------------------
-# The int8 compiler produces mixed-precision plans.  Registers are either
-# float32 or int8; for every int8 register the builder records the static
-# quantization scale decided at compile time, so the emitted plan carries no
-# live module references for quantization (the eager path's activation
-# fake-quant hooks become explicit ``quantize``/``requantize``/``dequantize``
-# steps) and survives pickling unchanged.
-#
-# Scale propagation follows the calibrated hook points of
-# :class:`repro.quant.ActivationQuantizationPass`: a conv whose fused
-# activation carries a frozen quantizer requantizes its int32 accumulator
-# straight back to int8 (``qconv``); a conv with no calibrated output range
-# (e.g. the projection conv feeding a residual add) dequantizes to float
-# (``qconv_dequant``), the add runs in float, and the block-output quantizer
-# re-enters the int8 domain.  Residual trunks of every registered family
-# lower this way: MobileNetV2's ``InvertedResidual`` and the ResNet
-# ``BasicBlock``/``ResNet12Block`` (strided 1x1 downsample or identity
-# shortcut joining the add on its own grid, Dory-style block-output requant
-# after the residual, integer global average pooling).  Layers whose input
-# arrives in float with no known scale fall back to the float32 kernels —
-# compilation degrades precision-wise, never semantically.
-
-
-class _Int8Builder(PlanBuilder):
-    """Plan builder that also tracks the int8 scale of each register."""
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.scales = {}          # register name -> float scale (int8 regs only)
-
-
 def _hook_state(module: Module):
     """Interpret the forward hooks of ``module`` for int8 lowering.
 
@@ -382,7 +227,33 @@ def _modules_hook_free(*modules) -> bool:
                for module in modules if module is not None)
 
 
-def _emit_quantize(builder: _Int8Builder, name: str, x: str,
+def _fused_activation(act: Module):
+    """``(act, scale)`` when the activation child ``act`` fuses into the step
+    before it: its :data:`FUSED_ACTIVATIONS` entry and the int8 grid of its
+    quantizer.  None when it keeps its block eager."""
+    scale, clean = _hook_state(act)
+    if not clean or type(act) not in FUSED_ACTIVATIONS:
+        return None
+    return FUSED_ACTIVATIONS[type(act)], scale
+
+
+def _input_scale(builder: PlanBuilder, quantizer) -> Optional[float]:
+    """The grid an int8 plan quantizes a float input onto, or None.
+
+    ``quantize_ofscil_model`` stamps the backbone with an ``input_quantizer``
+    calibrated on the same data as the activation pass (mirroring the int8
+    camera input of the deployed GAP9 graph) and the FCR with the quantizer
+    of the backbone's pooled output (whose grid the eager path's fake-quant
+    already imposed, so quantizing there is exact).  Float32 plans ignore
+    the stamps.
+    """
+    if builder.int8 and quantizer is not None \
+            and getattr(quantizer, "calibrated", False) and quantizer.bits == 8:
+        return float(quantizer.scale)
+    return None
+
+
+def _emit_quantize(builder: PlanBuilder, name: str, x: str,
                    scale: float) -> str:
     out = builder.emit("quantize", name, (x,), attrs={"scale": float(scale)},
                        hint="q8")
@@ -390,7 +261,7 @@ def _emit_quantize(builder: _Int8Builder, name: str, x: str,
     return out
 
 
-def _ensure_float(builder: _Int8Builder, x: str, name: str) -> str:
+def _ensure_float(builder: PlanBuilder, x: str, name: str) -> str:
     """Dequantize ``x`` when it is an int8 register; float passes through."""
     scale = builder.scales.get(x)
     if scale is None:
@@ -399,33 +270,8 @@ def _ensure_float(builder: _Int8Builder, x: str, name: str) -> str:
                         hint="dq")
 
 
-def _emit_input_quantize(builder: _Int8Builder, module: Module, x: str) -> str:
-    """Quantize the plan input when the module has a calibrated quantizer.
-
-    ``quantize_ofscil_model`` stamps the backbone with an ``input_quantizer``
-    calibrated on the same data as the activation pass (mirroring the int8
-    camera input of the deployed GAP9 graph) and the FCR with the quantizer
-    of the backbone's pooled output (whose grid the eager path's fake-quant
-    already imposed, so quantizing there is exact).
-    """
-    quantizer = getattr(module, "input_quantizer", None)
-    if quantizer is not None and getattr(quantizer, "calibrated", False) \
-            and quantizer.bits == 8:
-        return _emit_quantize(builder, f"{builder.name}.quant_in", x,
-                              float(quantizer.scale))
-    return x
-
-
-def _compile_int8(module: Module, name: str) -> InferencePlan:
-    builder = _Int8Builder(name)
-    x = _emit_input_quantize(builder, module, "x")
-    out = _lower_int8(builder, module, name, x)
-    out = _ensure_float(builder, out, f"{name}.dequant_out")
-    return builder.build("x", out)
-
-
-def _emit_opaque_int8(builder: _Int8Builder, module: Module, name: str,
-                      x: str) -> str:
+def _emit_opaque(builder: PlanBuilder, module: Module, name: str,
+                 x: str) -> str:
     """Semantic-preserving fallback: run the module eagerly on float input."""
     x = _ensure_float(builder, x, f"{name}.dq_in")
     return builder.emit("opaque", name, (x,), module=module, hint="opq")
@@ -442,15 +288,15 @@ def _act_clamp(act: Optional[str], scale: float):
     raise ValueError(f"activation {act!r} cannot be fused into an int8 clamp")
 
 
-def _emit_conv_int8(builder: _Int8Builder, name: str, x: str, conv: Conv2d,
-                    bn, act: Optional[str], out_scale: Optional[float]) -> str:
-    """Lower one (folded) convolution inside an int8 plan.
+def _emit_conv(builder: PlanBuilder, name: str, x: str, conv: Conv2d,
+               bn, act: Optional[str], out_scale: Optional[float]) -> str:
+    """Lower one (folded) convolution.
 
-    Int8 input + calibrated output scale -> ``qconv`` (int32 accumulate,
-    per-channel requantize, activation fused into the clamp).  Int8 input
-    without an output scale -> ``qconv_dequant`` (float output).  Float input
-    -> the float32 conv kernel, optionally re-entering the int8 domain when
-    an output scale is known.
+    Float input -> the float32 ``conv`` kernel, re-entering the int8 domain
+    when an output scale is known.  Int8 input + calibrated output scale ->
+    ``qconv`` (int32 accumulate, per-channel requantize, activation fused
+    into the clamp).  Int8 input without an output scale ->
+    ``qconv_dequant`` (float output).
     """
     weight, bias = fold_conv_bn(conv, bn)
     attrs = {"stride": conv.stride, "padding": conv.padding,
@@ -497,19 +343,17 @@ def _emit_conv_int8(builder: _Int8Builder, name: str, x: str, conv: Conv2d,
     return out
 
 
-def _lower_linear_int8(builder: _Int8Builder, linear: Linear, name: str,
-                       x: str, input_quantizer=None) -> str:
+def _lower_linear(builder: PlanBuilder, linear: Linear, name: str, x: str,
+                  input_quantizer=None) -> str:
     if linear._forward_hooks:
-        return _emit_opaque_int8(builder, linear, name, x)
+        return _emit_opaque(builder, linear, name, x)
     s_x = builder.scales.get(x)
     if s_x is None:
-        quantizer = input_quantizer if input_quantizer is not None \
-            else getattr(linear, "input_quantizer", None)
-        if quantizer is not None and getattr(quantizer, "calibrated", False) \
-                and quantizer.bits == 8:
-            x = _emit_quantize(builder, f"{name}.quant_in", x,
-                               float(quantizer.scale))
-            s_x = float(quantizer.scale)
+        if input_quantizer is None:
+            input_quantizer = getattr(linear, "input_quantizer", None)
+        s_x = _input_scale(builder, input_quantizer)
+        if s_x is not None:
+            x = _emit_quantize(builder, f"{name}.quant_in", x, s_x)
     if s_x is None:
         # No input grid: stay on the float path (live-module weights).
         return builder.emit("linear", name, (x,), module=linear,
@@ -528,30 +372,26 @@ def _lower_linear_int8(builder: _Int8Builder, linear: Linear, name: str,
                         attrs={"act": None, "acc_bound": acc_bound}, hint="qfc")
 
 
-def _lower_conv_bn_act_int8(builder: _Int8Builder, module: ConvBNReLU,
-                            name: str, x: str) -> str:
-    act = type(module.act)
-    if act not in FUSED_ACTIVATIONS:
-        return _emit_opaque_int8(builder, module, name, x)
-    act_scale, act_clean = _hook_state(module.act)
-    if not act_clean or not _modules_hook_free(module.conv, module.bn):
-        return _emit_opaque_int8(builder, module, name, x)
-    return _emit_conv_int8(builder, name, x, module.conv, module.bn,
-                           FUSED_ACTIVATIONS[act], act_scale)
+def _lower_conv_bn_act(builder: PlanBuilder, module: ConvBNReLU, name: str,
+                       x: str) -> str:
+    fused = _fused_activation(module.act)
+    if fused is None or not _modules_hook_free(module.conv, module.bn):
+        return _emit_opaque(builder, module, name, x)
+    return _emit_conv(builder, name, x, module.conv, module.bn, *fused)
 
 
-def _lower_inverted_residual_int8(builder: _Int8Builder,
-                                  module: InvertedResidual, name: str, x: str,
-                                  block_scale: Optional[float]) -> str:
+def _lower_inverted_residual(builder: PlanBuilder, module: InvertedResidual,
+                             name: str, x: str,
+                             block_scale: Optional[float]) -> str:
     if not _modules_hook_free(module.project, module.project_bn):
-        return _emit_opaque_int8(builder, module, name, x)
+        return _emit_opaque(builder, module, name, x)
     out = x
     if module.expand is not None:
-        out = _lower_int8(builder, module.expand, f"{name}.expand", out)
-    out = _lower_int8(builder, module.depthwise, f"{name}.dw", out)
+        out = _lower(builder, module.expand, f"{name}.expand", out)
+    out = _lower(builder, module.depthwise, f"{name}.dw", out)
     if module.use_residual:
-        out = _emit_conv_int8(builder, f"{name}.project", out, module.project,
-                              module.project_bn, None, None)
+        out = _emit_conv(builder, f"{name}.project", out, module.project,
+                         module.project_bn, None, None)
         out = _ensure_float(builder, out, f"{name}.project_dq")
         shortcut = _ensure_float(builder, x, f"{name}.residual_dq")
         out = builder.emit("add", f"{name}.residual", (out, shortcut),
@@ -559,11 +399,11 @@ def _lower_inverted_residual_int8(builder: _Int8Builder,
         if block_scale is not None:
             out = _emit_quantize(builder, f"{name}.requant", out, block_scale)
         return out
-    return _emit_conv_int8(builder, f"{name}.project", out, module.project,
-                           module.project_bn, None, block_scale)
+    return _emit_conv(builder, f"{name}.project", out, module.project,
+                      module.project_bn, None, block_scale)
 
 
-def _emit_block_requant(builder: _Int8Builder, name: str, x: str,
+def _emit_block_requant(builder: PlanBuilder, name: str, x: str,
                         block_scale: Optional[float]) -> str:
     """Re-enter the block-output grid (Dory-style requant after the residual).
 
@@ -579,26 +419,23 @@ def _emit_block_requant(builder: _Int8Builder, name: str, x: str,
     return _emit_quantize(builder, f"{name}.block_requant", x, block_scale)
 
 
-def _lower_resnet12_block_int8(builder: _Int8Builder, module: ResNet12Block,
-                               name: str, x: str,
-                               block_scale: Optional[float]) -> str:
-    relu_scale, relu_clean = _hook_state(module.relu)
-    clean = _modules_hook_free(module.conv1, module.bn1, module.conv2,
-                               module.bn2, module.conv3, module.bn3,
-                               module.shortcut, module.shortcut_bn,
-                               module.pool)
-    if not relu_clean or not clean \
-            or type(module.relu) not in FUSED_ACTIVATIONS:
-        return _emit_opaque_int8(builder, module, name, x)
-    act = FUSED_ACTIVATIONS[type(module.relu)]
-    residual = _emit_conv_int8(builder, f"{name}.shortcut", x,
-                               module.shortcut, module.shortcut_bn, None, None)
-    out = _emit_conv_int8(builder, f"{name}.conv1", x, module.conv1,
-                          module.bn1, act, relu_scale)
-    out = _emit_conv_int8(builder, f"{name}.conv2", out, module.conv2,
-                          module.bn2, act, relu_scale)
-    out = _emit_conv_int8(builder, f"{name}.conv3", out, module.conv3,
-                          module.bn3, None, None)
+def _lower_resnet12_block(builder: PlanBuilder, module: ResNet12Block,
+                          name: str, x: str,
+                          block_scale: Optional[float]) -> str:
+    fused = _fused_activation(module.relu)
+    if fused is None or not _modules_hook_free(
+            module.conv1, module.bn1, module.conv2, module.bn2, module.conv3,
+            module.bn3, module.shortcut, module.shortcut_bn, module.pool):
+        return _emit_opaque(builder, module, name, x)
+    act, relu_scale = fused
+    residual = _emit_conv(builder, f"{name}.shortcut", x, module.shortcut,
+                          module.shortcut_bn, None, None)
+    out = _emit_conv(builder, f"{name}.conv1", x, module.conv1, module.bn1,
+                     act, relu_scale)
+    out = _emit_conv(builder, f"{name}.conv2", out, module.conv2, module.bn2,
+                     act, relu_scale)
+    out = _emit_conv(builder, f"{name}.conv3", out, module.conv3, module.bn3,
+                     None, None)
     out = _ensure_float(builder, out, f"{name}.conv3_dq")
     residual = _ensure_float(builder, residual, f"{name}.shortcut_dq")
     out = builder.emit("add", f"{name}.residual", (out, residual),
@@ -606,38 +443,35 @@ def _lower_resnet12_block_int8(builder: _Int8Builder, module: ResNet12Block,
     if relu_scale is not None:
         out = _emit_quantize(builder, f"{name}.requant", out, relu_scale)
     if module.pool is not None:
-        out = _lower_int8(builder, module.pool, f"{name}.pool", out)
+        out = _lower(builder, module.pool, f"{name}.pool", out)
     # The block hook observes the *post-pool* output (max pooling commutes
     # with the positive grid scale, so pooling codes first is exact).
     return _emit_block_requant(builder, name, out, block_scale)
 
 
-def _lower_basic_block_int8(builder: _Int8Builder, module: BasicBlock,
-                            name: str, x: str,
-                            block_scale: Optional[float]) -> str:
-    relu_scale, relu_clean = _hook_state(module.relu)
-    clean = _modules_hook_free(module.conv1, module.bn1, module.conv2,
-                               module.bn2, module.downsample,
-                               module.downsample_bn)
-    if not relu_clean or not clean \
-            or type(module.relu) not in FUSED_ACTIVATIONS:
-        return _emit_opaque_int8(builder, module, name, x)
-    act = FUSED_ACTIVATIONS[type(module.relu)]
+def _lower_basic_block(builder: PlanBuilder, module: BasicBlock, name: str,
+                       x: str, block_scale: Optional[float]) -> str:
+    fused = _fused_activation(module.relu)
+    if fused is None or not _modules_hook_free(
+            module.conv1, module.bn1, module.conv2, module.bn2,
+            module.downsample, module.downsample_bn):
+        return _emit_opaque(builder, module, name, x)
+    act, relu_scale = fused
     if module.downsample is not None:
         # Strided 1x1 projection shortcut: integer conv, dequantized into the
         # float residual accumulation (the fusion pass folds the dequantize
         # into the add).
-        residual = _emit_conv_int8(builder, f"{name}.downsample", x,
-                                   module.downsample, module.downsample_bn,
-                                   None, None)
+        residual = _emit_conv(builder, f"{name}.downsample", x,
+                              module.downsample, module.downsample_bn,
+                              None, None)
         residual = _ensure_float(builder, residual, f"{name}.downsample_dq")
     else:
         # Identity shortcut: the int8 input joins the add on its own grid.
         residual = _ensure_float(builder, x, f"{name}.residual_dq")
-    out = _emit_conv_int8(builder, f"{name}.conv1", x, module.conv1,
-                          module.bn1, act, relu_scale)
-    out = _emit_conv_int8(builder, f"{name}.conv2", out, module.conv2,
-                          module.bn2, None, None)
+    out = _emit_conv(builder, f"{name}.conv1", x, module.conv1, module.bn1,
+                     act, relu_scale)
+    out = _emit_conv(builder, f"{name}.conv2", out, module.conv2, module.bn2,
+                     None, None)
     out = _ensure_float(builder, out, f"{name}.conv2_dq")
     out = builder.emit("add", f"{name}.residual", (out, residual),
                        attrs={"act": act}, hint="add")
@@ -646,8 +480,8 @@ def _lower_basic_block_int8(builder: _Int8Builder, module: BasicBlock,
     return _emit_block_requant(builder, name, out, block_scale)
 
 
-def _emit_max_pool_int8(builder: _Int8Builder, name: str, x: str,
-                        kernel_size: int, stride: int) -> str:
+def _emit_max_pool(builder: PlanBuilder, name: str, x: str,
+                   kernel_size: int, stride: int) -> str:
     """Max pooling is order-preserving, so it runs directly on int8 codes."""
     scale = builder.scales.get(x)
     out = builder.emit("max_pool", name, (x,),
@@ -658,8 +492,8 @@ def _emit_max_pool_int8(builder: _Int8Builder, name: str, x: str,
     return out
 
 
-def _lower_global_pool_int8(builder: _Int8Builder, pool: GlobalAvgPool2d,
-                            name: str, x: str, integer: bool = False) -> str:
+def _lower_global_pool(builder: PlanBuilder, pool: GlobalAvgPool2d,
+                       name: str, x: str, integer: bool = False) -> str:
     """Global average pooling + the (optional) pool-output fake-quant.
 
     ``integer=True`` (the ResNet trunks, whose int8 lowering committed to it
@@ -670,7 +504,7 @@ def _lower_global_pool_int8(builder: _Int8Builder, pool: GlobalAvgPool2d,
     """
     pool_scale, pool_clean = _hook_state(pool)
     if not pool_clean:
-        return _emit_opaque_int8(builder, pool, name, x)
+        return _emit_opaque(builder, pool, name, x)
     in_scale = builder.scales.get(x)
     if integer and in_scale is not None:
         out = builder.emit("qglobal_pool", name, (x,),
@@ -684,73 +518,73 @@ def _lower_global_pool_int8(builder: _Int8Builder, pool: GlobalAvgPool2d,
     return out
 
 
-def _lower_pool_child_int8(builder: _Int8Builder, pool: Module, name: str,
-                           x: str, integer: bool = False) -> str:
+def _lower_pool_child(builder: PlanBuilder, pool: Module, name: str, x: str,
+                      integer: bool = False) -> str:
     """A backbone's ``pool`` child: the global pool rule for a
     :class:`GlobalAvgPool2d`, the generic lowering for any other module."""
     if isinstance(pool, GlobalAvgPool2d):
-        return _lower_global_pool_int8(builder, pool, name, x, integer)
-    return _lower_int8(builder, pool, name, x)
+        return _lower_global_pool(builder, pool, name, x, integer)
+    return _lower(builder, pool, name, x)
 
 
-def _lower_int8(builder: _Int8Builder, module: Module, name: str, x: str) -> str:
-    """Emit int8-plan steps computing ``module(x)``; returns the output register.
+def _lower(builder: PlanBuilder, module: Module, name: str, x: str) -> str:
+    """Emit steps computing ``module(x)``; returns the output register.
 
-    Mirrors :func:`_lower` but never bails to opaque just because a subtree
-    carries activation fake-quant hooks — those are compiled into explicit
-    quantize/requantize steps.  Foreign hooks still force opaque fallbacks.
+    A float32 plan keeps any subtree that carries a forward hook eager.  An
+    int8 plan compiles the frozen activation quantizers into
+    quantize/requantize steps; other hooks still force an opaque step (see
+    :func:`_hook_state`).
     """
-    scale, clean = _hook_state(module)
+    if builder.int8:
+        scale, clean = _hook_state(module)
+    else:
+        scale, clean = None, not has_hooks(module)
     if not clean:
-        return _emit_opaque_int8(builder, module, name, x)
+        return _emit_opaque(builder, module, name, x)
 
     if isinstance(module, ConvBNReLU):
-        return _lower_conv_bn_act_int8(builder, module, name, x)
+        return _lower_conv_bn_act(builder, module, name, x)
     if isinstance(module, InvertedResidual):
-        return _lower_inverted_residual_int8(builder, module, name, x, scale)
+        return _lower_inverted_residual(builder, module, name, x, scale)
     if isinstance(module, ResNet12Block):
-        return _lower_resnet12_block_int8(builder, module, name, x, scale)
+        return _lower_resnet12_block(builder, module, name, x, scale)
     if isinstance(module, BasicBlock):
-        return _lower_basic_block_int8(builder, module, name, x, scale)
+        return _lower_basic_block(builder, module, name, x, scale)
     if scale is not None and not isinstance(module, (ReLU, ReLU6,
                                                      GlobalAvgPool2d)):
         # A quantizer on a module type without a dedicated int8 rule: keep
         # the eager semantics rather than guessing where the grid applies.
-        return _emit_opaque_int8(builder, module, name, x)
+        return _emit_opaque(builder, module, name, x)
     if isinstance(module, MobileNetV2Backbone):
-        out = _lower_int8(builder, module.stem, f"{name}.stem", x)
-        out = _lower_int8(builder, module.blocks, f"{name}.blocks", out)
-        out = _lower_int8(builder, module.head, f"{name}.head", out)
-        return _lower_pool_child_int8(builder, module.pool, f"{name}.pool",
-                                      out)
+        out = _lower(builder, module.stem, f"{name}.stem", x)
+        out = _lower(builder, module.blocks, f"{name}.blocks", out)
+        out = _lower(builder, module.head, f"{name}.head", out)
+        return _lower_pool_child(builder, module.pool, f"{name}.pool", out)
     if isinstance(module, ResNet12Backbone):
-        out = _lower_int8(builder, module.blocks, f"{name}.blocks", x)
-        return _lower_pool_child_int8(builder, module.pool, f"{name}.pool",
-                                      out, integer=True)
+        out = _lower(builder, module.blocks, f"{name}.blocks", x)
+        return _lower_pool_child(builder, module.pool, f"{name}.pool", out,
+                                 integer=True)
     if isinstance(module, ResNet20Backbone):
-        if not _modules_hook_free(module.stem, module.stem_bn):
-            return _emit_opaque_int8(builder, module, name, x)
-        stem_scale, stem_clean = _hook_state(module.relu)
-        if not stem_clean or type(module.relu) not in FUSED_ACTIVATIONS:
-            return _emit_opaque_int8(builder, module, name, x)
-        out = _emit_conv_int8(builder, f"{name}.stem", x, module.stem,
-                              module.stem_bn,
-                              FUSED_ACTIVATIONS[type(module.relu)],
-                              stem_scale)
-        out = _lower_int8(builder, module.blocks, f"{name}.blocks", out)
-        return _lower_pool_child_int8(builder, module.pool, f"{name}.pool",
-                                      out, integer=True)
+        fused = _fused_activation(module.relu)
+        if fused is None or not _modules_hook_free(module.stem,
+                                                   module.stem_bn):
+            return _emit_opaque(builder, module, name, x)
+        out = _emit_conv(builder, f"{name}.stem", x, module.stem,
+                         module.stem_bn, *fused)
+        out = _lower(builder, module.blocks, f"{name}.blocks", out)
+        return _lower_pool_child(builder, module.pool, f"{name}.pool", out,
+                                 integer=True)
     if isinstance(module, FullyConnectedReductor):
-        return _lower_linear_int8(
+        return _lower_linear(
             builder, module.linear, f"{name}.linear", x,
             input_quantizer=getattr(module, "input_quantizer", None))
     if isinstance(module, Sequential):
         out = x
         for index in range(len(module)):
-            out = _lower_int8(builder, module[index], f"{name}.{index}", out)
+            out = _lower(builder, module[index], f"{name}.{index}", out)
         return out
     if isinstance(module, Conv2d):
-        return _emit_conv_int8(builder, name, x, module, None, None, None)
+        return _emit_conv(builder, name, x, module, None, None, None)
     if isinstance(module, (BatchNorm2d, BatchNorm1d)):
         x = _ensure_float(builder, x, f"{name}.dq")
         bn_scale, shift = bn_scale_shift(module)
@@ -758,7 +592,7 @@ def _lower_int8(builder: _Int8Builder, module: Module, name: str, x: str) -> str
                             arrays={"scale": bn_scale, "shift": shift},
                             attrs={"act": None}, hint="bn")
     if isinstance(module, Linear):
-        return _lower_linear_int8(builder, module, name, x)
+        return _lower_linear(builder, module, name, x)
     if isinstance(module, (ReLU, ReLU6)):
         act = "relu" if isinstance(module, ReLU) else "relu6"
         x = _ensure_float(builder, x, f"{name}.dq")
@@ -767,10 +601,10 @@ def _lower_int8(builder: _Int8Builder, module: Module, name: str, x: str) -> str
             out = _emit_quantize(builder, f"{name}.quant", out, scale)
         return out
     if isinstance(module, GlobalAvgPool2d):
-        return _lower_global_pool_int8(builder, module, name, x)
+        return _lower_global_pool(builder, module, name, x)
     if isinstance(module, MaxPool2d):
-        return _emit_max_pool_int8(builder, name, x, module.kernel_size,
-                                   module.stride)
+        return _emit_max_pool(builder, name, x, module.kernel_size,
+                              module.stride)
     if isinstance(module, AvgPool2d):
         x = _ensure_float(builder, x, f"{name}.dq")
         return builder.emit("avg_pool", name, (x,),
@@ -782,5 +616,7 @@ def _lower_int8(builder: _Int8Builder, module: Module, name: str, x: str) -> str
             builder.scales[out] = builder.scales[x]
         return out
     if isinstance(module, (Identity, Dropout)):
+        # Dropout is the identity at inference time.
         return x
-    return _emit_opaque_int8(builder, module, name, x)
+    # Unknown module: keep it, eagerly.
+    return _emit_opaque(builder, module, name, x)

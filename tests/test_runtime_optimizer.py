@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import functools
 import gc
+import hashlib
 import sys
 import weakref
 from collections import Counter
@@ -516,10 +517,72 @@ INT8_BACKBONE_PINS = {
                            "qconv_add_superfusion": 6}),
 }
 
+#: :func:`plan_digest` of each registry model's raw backbone and FCR plans,
+#: so a reordered, renamed or reshaped raw plan fails even where the
+#: optimizer leaves it alone.
+RAW_PLAN_DIGESTS = {
+    ("mobilenetv2", "float32", "backbone"): "9e7c02569974ee6e",
+    ("mobilenetv2", "float32", "fcr"): "818f3dab493d518c",
+    ("mobilenetv2", "int8", "backbone"): "7ae2ed159862fd6b",
+    ("mobilenetv2", "int8", "fcr"): "ff87c773985db517",
+    ("mobilenetv2_tiny", "float32", "backbone"): "d0e798fb91e79006",
+    ("mobilenetv2_tiny", "float32", "fcr"): "818f3dab493d518c",
+    ("mobilenetv2_tiny", "int8", "backbone"): "3abf9bbf275ee777",
+    ("mobilenetv2_tiny", "int8", "fcr"): "0f463364e5e8d2a4",
+    ("mobilenetv2_x2", "float32", "backbone"): "ce9ab749d7319ccf",
+    ("mobilenetv2_x2", "float32", "fcr"): "818f3dab493d518c",
+    ("mobilenetv2_x2", "int8", "backbone"): "6b6a53ff46af2748",
+    ("mobilenetv2_x2", "int8", "fcr"): "ff87c773985db517",
+    ("mobilenetv2_x4", "float32", "backbone"): "75c7b22abf89f21a",
+    ("mobilenetv2_x4", "float32", "fcr"): "818f3dab493d518c",
+    ("mobilenetv2_x4", "int8", "backbone"): "ae9f0fcb5c927d81",
+    ("mobilenetv2_x4", "int8", "fcr"): "ff87c773985db517",
+    ("mobilenetv2_x4_tiny", "float32", "backbone"): "64979105d9ec33e3",
+    ("mobilenetv2_x4_tiny", "float32", "fcr"): "818f3dab493d518c",
+    ("mobilenetv2_x4_tiny", "int8", "backbone"): "b811ae1a3df072cb",
+    ("mobilenetv2_x4_tiny", "int8", "fcr"): "0f463364e5e8d2a4",
+    ("resnet12", "float32", "backbone"): "d6560d459c05fbdd",
+    ("resnet12", "float32", "fcr"): "818f3dab493d518c",
+    ("resnet12", "int8", "backbone"): "76fe7adb8c926912",
+    ("resnet12", "int8", "fcr"): "dd138b83c40f9a8c",
+    ("resnet12_tiny", "float32", "backbone"): "ea3864b546a65a98",
+    ("resnet12_tiny", "float32", "fcr"): "818f3dab493d518c",
+    ("resnet12_tiny", "int8", "backbone"): "0e47a7ecd9c335a9",
+    ("resnet12_tiny", "int8", "fcr"): "f3c0251947d93e19",
+    ("resnet20", "float32", "backbone"): "160d8a31eca1e514",
+    ("resnet20", "float32", "fcr"): "818f3dab493d518c",
+    ("resnet20", "int8", "backbone"): "b9115f469aa478bc",
+    ("resnet20", "int8", "fcr"): "751276cf0d34b8b0",
+    ("resnet20_tiny", "float32", "backbone"): "b4003fdd1b6c228f",
+    ("resnet20_tiny", "float32", "fcr"): "818f3dab493d518c",
+    ("resnet20_tiny", "int8", "backbone"): "74f64659c5ca7002",
+    ("resnet20_tiny", "int8", "fcr"): "0eaf7cd7dbbc8c65",
+}
+
+
 #: The plans non-test code builds: every registry backbone's backbone and
 #: FCR plan in both modes, ordered so each model is built once.
 REGISTRY_PLANS = [(backbone, mode, part) for backbone in list_configs()
                   for mode in MODES for part in ("backbone", "fcr")]
+
+
+def plan_digest(plan: InferencePlan) -> str:
+    """Short hash of a plan's structure: each step's op, name, input and
+    output registers, its attr keys with their non-float values, and each
+    array's name, dtype and shape."""
+    def plain(value):
+        return value.item() if isinstance(value, np.generic) else value
+
+    parts = [plan.input_register, plan.output_register]
+    for step in plan.steps:
+        attrs = [(key, None if isinstance(value, (float, np.floating))
+                  else plain(value))
+                 for key, value in sorted(step.attrs.items())]
+        arrays = [(key, str(array.dtype), array.shape)
+                  for key, array in sorted(step.arrays.items())]
+        parts.append((step.op, step.name, tuple(step.inputs), step.output,
+                      attrs, arrays))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
 @functools.lru_cache(maxsize=1)
@@ -539,6 +602,7 @@ class TestRegistryPlans:
                                               rng):
         plans = registry_raw_plans(backbone, mode)
         raw = plans[part]
+        assert plan_digest(raw) == RAW_PLAN_DIGESTS[backbone, mode, part]
         before = raw_state(raw)
         optimized = optimize_plan(raw)
         assert raw_state(raw) == before

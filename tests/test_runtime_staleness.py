@@ -12,7 +12,7 @@ leave each engine rebuilt exactly when the full walk (:meth:`_staleness` +
 last tests swap the activation children (every ``ConvBNReLU.act`` and every
 ResNet ``relu``) and the pool children of the registry backbones: the engine
 is rebuilt, and the runtime lowers the new module instead of the one it
-replaced.
+replaced, the same way in both modes.
 """
 
 import copy
@@ -252,28 +252,38 @@ def int8_models(models):
             RESNET_BACKBONE: build_quantized_model(RESNET_BACKBONE)[0]}
 
 
+def _mode_model(models, int8_models, mode, backbone):
+    """A fresh copy of ``backbone``'s model as compiled in ``mode``."""
+    if mode == "int8":
+        return copy.deepcopy(int8_models[backbone])
+    return _float_model(models, backbone)
+
+
+@pytest.mark.parametrize("mode", ["float32", "int8"])
 @pytest.mark.parametrize("backbone", [BACKBONE, RESNET_BACKBONE])
-def test_int8_lowering_fuses_only_the_activation_it_is(int8_models,
-                                                       backbone):
-    model = copy.deepcopy(int8_models[backbone])
+def test_lowering_fuses_only_the_activation_it_is(models, int8_models, mode,
+                                                  backbone):
+    model = _mode_model(models, int8_models, mode, backbone)
     _swap_activations(model, nn.Identity)
-    steps = compile_backbone(model.backbone, mode="int8").steps
+    steps = compile_backbone(model.backbone, mode=mode).steps
     fused = [step for step in steps if "conv" in step.op or step.op == "add"]
     assert fused and all(step.attrs.get("act") is None for step in fused)
     assert not any(step.op == "opaque" for step in steps)
     # An activation with no fused form keeps its block on the eager path.
     _swap_activations(model, nn.Sigmoid)
-    steps = compile_backbone(model.backbone, mode="int8").steps
+    steps = compile_backbone(model.backbone, mode=mode).steps
     opaque = [step.module for step in steps if step.op == "opaque"]
     assert opaque and all(isinstance(_activation(module), nn.Sigmoid)
                           for module in opaque)
 
 
+@pytest.mark.parametrize("mode", ["float32", "int8"])
 @pytest.mark.parametrize("backbone", [BACKBONE, RESNET_BACKBONE])
-def test_int8_lowering_lowers_the_pool_child_it_is(int8_models, backbone):
-    model = copy.deepcopy(int8_models[backbone])
+def test_lowering_lowers_the_pool_child_it_is(models, int8_models, mode,
+                                              backbone):
+    model = _mode_model(models, int8_models, mode, backbone)
     _swap_pools(model, nn.Sigmoid)
-    steps = compile_backbone(model.backbone, mode="int8").steps
+    steps = compile_backbone(model.backbone, mode=mode).steps
     assert steps[-2].op == "global_pool"
     assert steps[-1].op == "opaque"
     assert isinstance(steps[-1].module, nn.Sigmoid)
